@@ -1,21 +1,11 @@
-//! End-to-end engine throughput on the burst-friendly ring workload: the
-//! same fixed amount of *logical* work (heap pops + inline dispatches —
-//! identical in both modes, asserted in `tests/determinism.rs`) run
-//! packet-at-a-time (`batch = 0`) and with the packet-train fast path
-//! (`batch = 16`). Criterion reports wall time per run; dividing the fixed
-//! logical-event count (printed once at startup) by it gives events per
-//! second, so the two bars are directly comparable. The fast path's ISSUE
-//! target is ≥3× here.
-//!
-//! A second group sweeps the windowed parallel engine over a 64-node,
-//! 32-disjoint-pair scenario at thread counts 1/2/4/8 — the speedup curve
-//! vs threads. All thread counts produce a bit-identical event stream
-//! (asserted at startup); only wall time varies, and only on hosts with
-//! cores to spare (`sim_core::pool::max_parallelism` bounds the shard
-//! pool, and a drained budget degrades to inline shards).
+//! End-to-end engine throughput on two fixed workloads: a 4-node ring
+//! pushing 1 MiB messages over shared links, and 32 disjoint
+//! point-to-point pairs on 64 nodes (a deep queue of independent
+//! traffic). Criterion reports wall time per run; dividing the event
+//! count printed once at startup by it gives events per second.
 
 use cluster::{ClusterConfig, Sim};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use fastmsg::division::BufferPolicy;
 use sim_core::time::{Cycles, SimTime};
 use std::hint::black_box;
@@ -25,11 +15,10 @@ use workloads::ring::Ring;
 const LAPS: u64 = 4;
 const PAIR_MSGS: u64 = 120;
 
-fn run_ring(batch: usize) -> u64 {
+fn run_ring() -> u64 {
     let mut cfg = ClusterConfig::parpar(4, 1, BufferPolicy::StaticDivision);
     cfg.auto_rotate = false;
     cfg.seed = 42;
-    cfg.batch = batch;
     let mut sim = Sim::new(cfg);
     let w = Ring {
         nprocs: 4,
@@ -38,36 +27,13 @@ fn run_ring(batch: usize) -> u64 {
     };
     sim.submit(&w, Some(vec![0, 1, 2, 3])).unwrap();
     assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)));
-    sim.engine.logical_events()
+    sim.engine.events_processed()
 }
 
-fn bench_ring_throughput(c: &mut Criterion) {
-    // The logical-event count is the same in both modes; print it once so
-    // wall times convert to events/second on a shared axis.
-    let logical = run_ring(0);
-    assert_eq!(
-        logical,
-        run_ring(16),
-        "modes must do identical logical work"
-    );
-    println!("engine_throughput_ring_1mib: {logical} logical events per run");
-
-    let mut g = c.benchmark_group("engine_throughput_ring_1mib");
-    g.sample_size(10);
-    for batch in [0usize, 16] {
-        let label = if batch == 0 { "batch_off" } else { "batch_16" };
-        g.bench_with_input(BenchmarkId::from_parameter(label), &batch, |b, &batch| {
-            b.iter(|| black_box(run_ring(batch)))
-        });
-    }
-    g.finish();
-}
-
-fn run_pairs64(threads: usize) -> (u64, u64) {
+fn run_pairs64() -> u64 {
     let mut cfg = ClusterConfig::parpar(64, 1, BufferPolicy::StaticDivision);
     cfg.auto_rotate = false;
     cfg.seed = 42;
-    cfg.threads = threads;
     let mut sim = Sim::new(cfg);
     let bench = P2pBandwidth::with_count(65_536, PAIR_MSGS);
     for pair in 0..32 {
@@ -75,34 +41,22 @@ fn run_pairs64(threads: usize) -> (u64, u64) {
             .unwrap();
     }
     assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(600)));
-    (sim.engine.logical_events(), sim.engine.stream_digest())
+    sim.engine.events_processed()
 }
 
-fn bench_pairs64_threads(c: &mut Criterion) {
-    let seq = run_pairs64(1);
+fn bench_engine_throughput(c: &mut Criterion) {
+    println!("engine_throughput_ring_1mib: {} events per run", run_ring());
     println!(
-        "engine_throughput_pairs64: {} logical events per run",
-        seq.0
+        "engine_throughput_pairs64: {} events per run",
+        run_pairs64()
     );
 
-    let mut g = c.benchmark_group("engine_throughput_pairs64");
+    let mut g = c.benchmark_group("engine_throughput");
     g.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        if threads > 1 {
-            assert_eq!(
-                run_pairs64(threads),
-                seq,
-                "threads={threads} must reproduce the sequential stream"
-            );
-        }
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("threads_{threads}")),
-            &threads,
-            |b, &threads| b.iter(|| black_box(run_pairs64(threads))),
-        );
-    }
+    g.bench_function("ring_1mib", |b| b.iter(|| black_box(run_ring())));
+    g.bench_function("pairs64", |b| b.iter(|| black_box(run_pairs64())));
     g.finish();
 }
 
-criterion_group!(benches, bench_ring_throughput, bench_pairs64_threads);
+criterion_group!(benches, bench_engine_throughput);
 criterion_main!(benches);

@@ -54,8 +54,6 @@ fn main() {
         Measurement::fig6(jobs, msg_bytes, quantum, duration)
             .buffer_policy(policy)
             .seed(opts.seed)
-            .batch(opts.batch)
-            .threads(opts.threads)
             .wire_loss_ppm(ppm)
             .reliability(rel)
             .run()
@@ -125,8 +123,6 @@ fn main() {
             .slo(Cycles::from_secs(1))
             .buffer_policy(policy)
             .seed(opts.seed)
-            .batch(opts.batch)
-            .threads(opts.threads)
             .run()
     });
     let mut serve_t = Table::new(

@@ -10,9 +10,9 @@
 //! perfect SAN. Rows ascend in offered rate with all three disciplines
 //! per rate, so the CSV from `--max-rate 2` (the CI smoke run) is a byte
 //! prefix of the committed full `results/serve_sweep.csv`. Cells are
-//! deterministic: the CSV is bit-identical at any `--threads`/`--batch`,
-//! and per-cell `DIGEST` lines print the logical fingerprint for CI to
-//! diff. Wall-clock throughput goes to `BENCH_serve.json`.
+//! deterministic, and per-cell `DIGEST` lines print each run's
+//! `Sim::logical_fingerprint`. Wall-clock throughput goes to
+//! `BENCH_serve.json`.
 //!
 //! The figure to look for: every discipline holds the e2e tail near the
 //! bare service time until the capacity knee (~6-8 jobs/s here), then the
@@ -23,7 +23,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin serve_sweep -- \
-//!     [--max-rate R] [--out FILE] [--csv DIR] [--seed N] [--threads N]
+//!     [--max-rate R] [--out FILE] [--csv DIR] [--seed N]
 //! ```
 
 use std::time::Instant;
@@ -59,8 +59,6 @@ fn run_cell(mode: SchedulingMode, name: &'static str, rate: f64, opts: &HarnessO
         .size_range(200, 800)
         .slo(Cycles::from_secs(1))
         .seed(opts.seed)
-        .batch(opts.batch)
-        .threads(opts.threads)
         .run();
     CellOut {
         mode: name,
@@ -148,7 +146,7 @@ fn main() {
     }
     opts.emit("serve_sweep", &t);
 
-    // Stable fingerprint lines for CI to diff across `--threads`/`--batch`.
+    // Stable fingerprint lines, one per cell.
     for c in &cells {
         println!(
             "DIGEST scenario={}_r{} events={} digest={:#018x}",
@@ -156,24 +154,18 @@ fn main() {
         );
     }
 
-    let host_cores = sim_core::pool::max_parallelism();
     let snap = Snapshot {
         bench: "serve_sweep".to_string(),
         seed: opts.seed,
-        host_cores,
+        host_cores: sim_core::pool::max_parallelism(),
         rows: cells
             .iter()
             .map(|c| Row {
                 scenario: format!("{}_r{}", c.mode, c.rate),
-                threads: opts.threads,
-                batch: opts.batch,
                 wall_ms: c.wall_ms,
-                logical_events: c.cell.completed,
+                events: c.cell.completed,
                 events_per_sec: c.cell.completed as f64 / (c.wall_ms / 1e3).max(1e-9),
                 digest: c.cell.fingerprint,
-                windows: 0,
-                ineligible_reason: None,
-                oversubscribed: opts.threads > host_cores,
             })
             .collect(),
     };

@@ -29,13 +29,6 @@ pub struct HarnessOpts {
     pub csv: Option<PathBuf>,
     /// Simulation seed.
     pub seed: u64,
-    /// Fragment-burst coalescing limit: 0 = off (packet-at-a-time),
-    /// `k` = coalesce up to `k` fragments per engine event.
-    pub batch: usize,
-    /// Worker threads for the windowed parallel engine (1 = sequential).
-    /// Results are bit-identical at any value; ineligible configurations
-    /// fall back to the sequential engine.
-    pub threads: usize,
 }
 
 impl HarnessOpts {
@@ -50,8 +43,6 @@ impl HarnessOpts {
             full: false,
             csv: None,
             seed: 42,
-            batch: 0,
-            threads: 1,
         };
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
@@ -68,36 +59,10 @@ impl HarnessOpts {
                         .expect("seed must be an integer");
                 }
                 "--help" | "-h" => {
-                    eprintln!("flags: --full --csv DIR --seed N --batch off|K --threads N");
+                    eprintln!("flags: --full --csv DIR --seed N");
                     std::process::exit(0);
                 }
-                other => {
-                    if let Some(rest) = other.strip_prefix("--batch") {
-                        let v = match rest.strip_prefix('=') {
-                            Some(v) => v.to_string(),
-                            None if rest.is_empty() => {
-                                args.next().expect("--batch needs off or a burst size")
-                            }
-                            _ => panic!("unknown flag {other}"),
-                        };
-                        opts.batch = match v.as_str() {
-                            "off" => 0,
-                            k => k.parse().expect("--batch takes off or an integer"),
-                        };
-                    } else if let Some(rest) = other.strip_prefix("--threads") {
-                        let v = match rest.strip_prefix('=') {
-                            Some(v) => v.to_string(),
-                            None if rest.is_empty() => {
-                                args.next().expect("--threads needs a worker count")
-                            }
-                            _ => panic!("unknown flag {other}"),
-                        };
-                        opts.threads = v.parse().expect("--threads takes an integer");
-                        assert!(opts.threads >= 1, "--threads must be at least 1");
-                    } else {
-                        panic!("unknown flag {other}");
-                    }
-                }
+                other => panic!("unknown flag {other}"),
             }
         }
         opts
@@ -116,9 +81,7 @@ impl HarnessOpts {
 }
 
 /// Ceiling on [`par_sweep`] workers: the machine-wide limit from
-/// `sim_core::pool` — the same source the windowed parallel engine sizes
-/// its shard pool from, so nested parallelism (a sweep of sharded runs)
-/// cannot oversubscribe the machine.
+/// `sim_core::pool`.
 pub fn sweep_pool_size() -> usize {
     sim_core::pool::max_parallelism()
 }
@@ -126,17 +89,14 @@ pub fn sweep_pool_size() -> usize {
 /// Run `f` over `params` on a bounded worker pool, preserving parameter
 /// order in the results. Workers pull the next parameter from a shared
 /// counter, so at most the pool size runs at once no matter how large the
-/// sweep is. The pool is leased from the global `sim_core::pool::Budget`:
-/// slots a sweep holds are slots the in-simulation shard pools cannot
-/// also take (they degrade to fewer workers), and vice versa.
+/// sweep is.
 pub fn par_sweep<P, R, F>(params: Vec<P>, f: F) -> Vec<R>
 where
     P: Send + Sync,
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    let grant = sim_core::pool::Budget::acquire(params.len().max(1));
-    let workers = grant.count().min(params.len().max(1));
+    let workers = sweep_pool_size().min(params.len().max(1));
     let next = AtomicUsize::new(0);
     let mut batches: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
     std::thread::scope(|s| {
@@ -221,28 +181,6 @@ mod tests {
             "{peak} live workers exceeds pool of {}",
             sweep_pool_size()
         );
-    }
-
-    #[test]
-    fn batch_flag_parses() {
-        let parse = |args: &[&str]| HarnessOpts::parse(args.iter().map(|s| s.to_string()));
-        assert_eq!(parse(&[]).batch, 0);
-        assert_eq!(parse(&["--batch=off"]).batch, 0);
-        assert_eq!(parse(&["--batch=16"]).batch, 16);
-        assert_eq!(parse(&["--batch", "8"]).batch, 8);
-        let o = parse(&["--full", "--batch=4", "--seed", "9"]);
-        assert!(o.full);
-        assert_eq!((o.batch, o.seed), (4, 9));
-    }
-
-    #[test]
-    fn threads_flag_parses() {
-        let parse = |args: &[&str]| HarnessOpts::parse(args.iter().map(|s| s.to_string()));
-        assert_eq!(parse(&[]).threads, 1);
-        assert_eq!(parse(&["--threads=8"]).threads, 8);
-        assert_eq!(parse(&["--threads", "4"]).threads, 4);
-        let o = parse(&["--threads=2", "--batch=16"]);
-        assert_eq!((o.threads, o.batch), (2, 16));
     }
 
     #[test]

@@ -105,22 +105,11 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Trace ring capacity; 0 disables tracing.
     pub trace_capacity: usize,
-    /// Packet-train run-ahead batch: after each engine dispatch the world
-    /// may handle up to `batch - 1` of its own follow-up events inline
-    /// (heap-free), as long as each provably precedes every other pending
-    /// event. `0` or `1` disables the fast path. Observable behavior —
-    /// timestamps, credits, stats, figure CSVs — is identical at any
-    /// setting; only engine dispatch counts and wall-clock change.
+    /// Ignored: nothing reads it. Kept only because
+    /// `perfbench/src/workload.rs` assigns it.
     pub batch: usize,
-    /// Worker threads for the conservative time-window parallel engine.
-    /// `0` or `1` runs the classic sequential loop. With more threads the
-    /// driver partitions nodes into job-connectivity shards, runs each
-    /// shard to a conservative fence on a worker pool, and merges the
-    /// shards' event streams back in deterministic `(time, seq)` order —
-    /// results (digests, stats, CSVs) are bit-identical at any thread
-    /// count. Configurations the window classifier cannot prove safe
-    /// (uncoordinated scheduling, wire loss, reliability, endpoint
-    /// caching, tracing) silently fall back to the sequential loop.
+    /// Ignored: nothing reads it. Kept only because
+    /// `perfbench/src/workload.rs` assigns it.
     pub threads: usize,
 }
 

@@ -37,21 +37,18 @@ pub struct BandwidthCell {
 /// The figure constructors ([`Measurement::fig5`], [`Measurement::fig6`],
 /// [`Measurement::switch_overhead`]) fix the experiment-specific
 /// parameters; the fluent setters adjust the knobs every experiment
-/// shares (seed, packet-train batching, fault injection, the reliability
-/// layer); [`run`](Measurement::run) builds the cluster and returns the
+/// shares (seed, fault injection, the reliability layer); [`run`](Measurement::run) builds the cluster and returns the
 /// figure's quantities.
 ///
 /// ```no_run
 /// use cluster::measure::Measurement;
-/// let cell = Measurement::fig5(4, 65_536, 100).seed(42).batch(16).run();
+/// let cell = Measurement::fig5(4, 65_536, 100).seed(42).run();
 /// assert!(cell.completed);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Measurement<K> {
     kind: K,
     seed: u64,
-    batch: usize,
-    threads: usize,
     wire_loss_ppm: u32,
     reliability: bool,
 }
@@ -61,8 +58,6 @@ impl<K> Measurement<K> {
         Measurement {
             kind,
             seed: 0,
-            batch: 0,
-            threads: 1,
             wire_loss_ppm: 0,
             reliability: false,
         }
@@ -71,26 +66,6 @@ impl<K> Measurement<K> {
     /// RNG seed for the run (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Fragments per fused packet train on the burst fast path (0, the
-    /// default, disables it). The result is byte-identical to the
-    /// unbatched run — `tests/determinism.rs` asserts it.
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Worker threads for the conservative time-window parallel engine
-    /// (default 1 — fully sequential). Any value produces bit-identical
-    /// results: the simulation is deterministic by construction, and
-    /// `tests/determinism.rs` pins the event-stream digest at 1, 2, and 8
-    /// threads. Configurations the windowed driver cannot prove sound
-    /// (reliability, wire loss, dynamic coscheduling, …) silently fall
-    /// back to the sequential engine.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -110,8 +85,6 @@ impl<K> Measurement<K> {
 
     fn apply_common(&self, cfg: &mut ClusterConfig) {
         cfg.seed = self.seed;
-        cfg.batch = self.batch;
-        cfg.threads = self.threads;
         cfg.wire_loss_ppm = self.wire_loss_ppm;
         cfg.reliability.enabled = self.reliability;
     }
@@ -411,7 +384,7 @@ impl Measurement<SwitchOverhead> {
     }
 }
 
-/// Figs. 7/8/9 with the default (unbatched) fast-path setting — see
+/// Figs. 7/8/9 with only the seed set — see
 /// [`Measurement::switch_overhead`].
 pub fn switch_overhead_run(
     nodes: usize,
@@ -595,8 +568,8 @@ pub struct ServeCell {
     /// the drain window closed? `false` marks a saturated cell — offered
     /// load past the knee.
     pub drained: bool,
-    /// The run's logical fingerprint (the determinism contract: identical
-    /// across thread counts and batch settings).
+    /// The run's [`Sim::logical_fingerprint`](crate::world::Sim::logical_fingerprint):
+    /// a one-word summary of its results and latencies.
     pub fingerprint: u64,
 }
 

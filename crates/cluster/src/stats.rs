@@ -70,15 +70,6 @@ impl<T> PerJob<T> {
         prev
     }
 
-    /// Take `job`'s value out of the table, if present.
-    pub fn remove(&mut self, job: &JobId) -> Option<T> {
-        let taken = self.slots.get_mut(Self::idx(*job))?.take();
-        if taken.is_some() {
-            self.live -= 1;
-        }
-        taken
-    }
-
     /// `BTreeMap::entry(job)`-style in-place access; the two `or_*` forms
     /// the handlers use are provided directly.
     #[inline]

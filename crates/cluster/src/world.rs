@@ -19,7 +19,7 @@ use sim_core::time::{Cycles, SimTime};
 use sim_core::trace::Trace;
 use workloads::program::{Program, Workload};
 
-use crate::bus::{Bus, Pending};
+use crate::bus::Bus;
 use crate::config::ClusterConfig;
 use crate::event::{DaemonEvent, Event};
 use crate::handlers::{
@@ -82,10 +82,6 @@ pub struct World {
     /// `stats.switch_latency` at completion; one switch in flight at a
     /// time).
     pub(crate) switch_ordered_at: SimTime,
-    /// Pooled agenda buffer for the packet-train trampoline (`cfg.batch`).
-    /// Taken out of the world for the duration of a dispatch, always empty
-    /// between dispatches.
-    agenda_buf: Vec<Pending>,
 }
 
 impl World {
@@ -150,7 +146,6 @@ impl World {
             tree,
             tree_agg,
             switch_ordered_at: SimTime::ZERO,
-            agenda_buf: Vec::with_capacity(16),
             cfg,
         };
         w.stats.tree_depth = w.tree.as_ref().map_or(0, ControlTree::depth);
@@ -201,50 +196,6 @@ impl World {
         }
     }
 
-    /// A hollow world for one shard of windowed parallel execution (see
-    /// `crate::parallel`). Nodes are fresh dummies (real node state is
-    /// swapped in per window), the network is a clone whose per-link state
-    /// is re-absorbed from the real world each window, and the control net
-    /// is poisoned — a window event that talks to the master is a proof
-    /// violation and must fail loudly. Master, jobrep, trace, RNG, and
-    /// stats are inert placeholders that in-window (data-plane) events
-    /// never touch.
-    pub(crate) fn shard_shell(&self) -> World {
-        let nodes = (0..self.cfg.nodes)
-            .map(|id| {
-                let nic = Nic::new(
-                    id,
-                    self.cfg.nic_context_slots(),
-                    self.cfg.fm.send_region_bytes,
-                    PACKET_BYTES,
-                );
-                NodeSim::new(id, self.cfg.nodes - 1, nic)
-            })
-            .collect();
-        World {
-            cfg: self.cfg.clone(),
-            net: self.net.clone(),
-            ctrl: ControlNet::poisoned(),
-            master: Masterd::new(self.cfg.nodes, self.cfg.slots),
-            nodes,
-            trace: Trace::disabled(),
-            rng: DetRng::new(self.cfg.seed),
-            stats: WorldStats::default(),
-            jobrep: JobRep::new(),
-            pending_programs: BTreeMap::new(),
-            queued_programs: BTreeMap::new(),
-            arrivals: Vec::new(),
-            arrivals_pending: 0,
-            // Shards never touch the control plane (the poisoned ControlNet
-            // proves it), so the tree aggregation state stays with the real
-            // world.
-            tree: self.tree,
-            tree_agg: Vec::new(),
-            switch_ordered_at: SimTime::ZERO,
-            agenda_buf: Vec::with_capacity(16),
-        }
-    }
-
     /// Fold the network's per-link counters by fabric tier (edge /
     /// aggregation / spine) — the scalability sweep's per-tier load view.
     pub fn tier_traffic(&self) -> crate::stats::TierTraffic {
@@ -292,76 +243,19 @@ impl WorldState for World {
     }
 }
 
-impl World {
-    /// Route one event to its subsystem handler.
-    #[inline]
-    fn dispatch(&mut self, now: SimTime, event: Event, bus: &mut Bus) {
-        match event {
-            Event::Daemon(e) => self.on_daemon(now, e, bus),
-            Event::Nic(e) => self.on_nic(now, e, bus),
-            Event::App(e) => self.on_app(now, e, bus),
-            Event::Switch(e) => self.on_switch(now, e, bus),
-            Event::Fm(e) => self.on_fm(now, e, bus),
-        }
-    }
-}
-
 impl Model for World {
     type Event = Event;
 
+    /// Route one event to its subsystem handler.
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
-        let batch = self.cfg.batch;
-        if batch < 2 {
-            let mut bus = Bus::new(sched);
-            self.dispatch(now, event, &mut bus);
-            return;
+        let mut bus = Bus::new(sched);
+        match event {
+            Event::Daemon(e) => self.on_daemon(now, e, &mut bus),
+            Event::Nic(e) => self.on_nic(now, e, &mut bus),
+            Event::App(e) => self.on_app(now, e, &mut bus),
+            Event::Switch(e) => self.on_switch(now, e, &mut bus),
+            Event::Fm(e) => self.on_fm(now, e, &mut bus),
         }
-
-        // Packet-train fast path. The engine handed us one event; handle
-        // it with deferred emissions, then run ahead through our own
-        // emissions (the agenda) as long as each is provably the globally
-        // next event — its `(time, seq)` key precedes the queue head's and
-        // its time is inside the driver's fence. Seqs were claimed at the
-        // emission points, so both the inline dispatch order and the seqs
-        // of events that do reach the heap are identical to what unbatched
-        // mode produces: observable behavior is bit-for-bit the same.
-        let mut agenda = std::mem::take(&mut self.agenda_buf);
-        debug_assert!(agenda.is_empty());
-        let mut bus = Bus::deferred(sched, now, &mut agenda);
-        self.dispatch(now, event, &mut bus);
-
-        let fence = sched.fence();
-        let mut budget = batch - 1;
-        while budget > 0 && !agenda.is_empty() {
-            let mut min = 0;
-            let mut min_key = (agenda[0].0, agenda[0].1);
-            for (i, &(t, s, _)) in agenda.iter().enumerate().skip(1) {
-                if (t, s) < min_key {
-                    min = i;
-                    min_key = (t, s);
-                }
-            }
-            // The driver dispatches events at the fence instant itself,
-            // so run-ahead may too.
-            if min_key.0 > fence {
-                break;
-            }
-            if let Some(head) = sched.peek_key() {
-                if head < min_key {
-                    break;
-                }
-            }
-            let (t, _seq, ev) = agenda.swap_remove(min);
-            sched.note_inline_dispatch();
-            budget -= 1;
-            let mut bus = Bus::deferred(sched, t, &mut agenda);
-            self.dispatch(t, ev, &mut bus);
-        }
-
-        for (t, seq, ev) in agenda.drain(..) {
-            sched.push_claimed(t, seq, ev);
-        }
-        self.agenda_buf = agenda;
     }
 }
 
@@ -392,10 +286,6 @@ impl Model for World {
 pub struct Sim {
     /// The discrete-event engine; `engine.model` is the world.
     pub engine: Engine<World>,
-    /// Windowed parallel driver state (worker pool plus reusable shard
-    /// shells), created lazily on the first eligible `run_*` call when
-    /// `cfg.threads > 1`.
-    pub(crate) par: Option<crate::parallel::ParDriver>,
 }
 
 impl Sim {
@@ -448,7 +338,7 @@ impl Sim {
                 );
             }
         }
-        Sim { engine, par: None }
+        Sim { engine }
     }
 
     /// Shorthand for the world.
@@ -456,38 +346,18 @@ impl Sim {
         &self.engine.model
     }
 
-    /// Parallel time-windows executed so far. Zero when running with
-    /// `threads <= 1`, when the configuration is ineligible, or when the
-    /// driver never found a sound window (diagnostics for tests and
-    /// benchmarks: a threaded run that reports zero windows degenerated to
-    /// the sequential engine).
-    pub fn parallel_windows(&self) -> u64 {
-        self.par.as_ref().map_or(0, |p| p.windows)
-    }
-
-    /// Why this configuration runs on the sequential engine, or `None`
-    /// when the windowed parallel engine is eligible. Benchmark rows
-    /// record this so a `windows == 0` result distinguishes "sequential
-    /// by design" from "eligible but no sound window was found".
-    pub fn windows_ineligible(&self) -> Option<&'static str> {
-        self.windows_ineligible_reason()
-    }
-
-    /// FNV-1a fold of the run's *logical* observables: the logical event
-    /// count, per-job all-up/first-send/finish times, per-process
-    /// delivered-message counts, completed switches, retransmits, drops,
-    /// and wire losses.
+    /// FNV-1a fold of the run's reported observables: the event count,
+    /// per-job all-up/first-send/finish times, per-process delivered-message
+    /// counts, completed switches, retransmits, drops, and wire losses —
+    /// plus, once a run has recorded request latencies, the serving
+    /// submit/dispatch times and latency sketches.
     ///
-    /// This is the determinism contract for batched runs. Burst trains
-    /// elide *physical* events, and inside a shard of the windowed engine
-    /// the run-ahead limit is the shard's own queue head — so the elision
-    /// pattern (and with it the dispatch digest) differs between the
-    /// sequential and windowed engines when `batch > 0`. Every observable
-    /// the simulation reports is nevertheless identical (the
-    /// `burst_on_equals_burst_off` property pins this), so batched runs
-    /// promise bit-identical *logical fingerprints* across thread counts,
-    /// while `batch == 0` runs additionally keep the physical digest
-    /// thread-invariant.
+    /// This is a one-word summary of a run's results, not a second
+    /// determinism contract: the contract is the engine's `(time, kind)`
+    /// stream digest
+    /// ([`Engine::stream_digest`](sim_core::engine::Engine::stream_digest)).
+    /// Serving runs pin this value because it folds the per-job latencies
+    /// the digest does not see.
     pub fn logical_fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -498,7 +368,7 @@ impl Sim {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        fold(self.engine.logical_events());
+        fold(self.engine.events_processed());
         let w = &self.engine.model;
         for (j, t) in w.stats.job_all_up.iter() {
             fold(j.0 as u64);
@@ -644,23 +514,13 @@ impl Sim {
     /// queued submission was admitted, every job finished — or `horizon`.
     /// Returns `true` if the world went quiescent.
     pub fn run_until_quiescent(&mut self, horizon: SimTime) -> bool {
-        if self.windows_enabled() {
-            self.run_windowed(horizon, true);
-        } else {
-            self.engine.run_until_pred(horizon, |w| w.quiescent());
-        }
+        self.engine.run_until_pred(horizon, |w| w.quiescent());
         self.engine.model.quiescent()
     }
 
-    /// Run until `horizon`. With `cfg.threads > 1` on an eligible
-    /// configuration this uses the conservative time-window parallel
-    /// driver; results are bit-identical to the sequential loop either way.
+    /// Run until `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        if self.windows_enabled() {
-            self.run_windowed(horizon, false)
-        } else {
-            self.engine.run_until(horizon)
-        }
+        self.engine.run_until(horizon)
     }
 
     /// Run until every submitted job finished, or `horizon`.
@@ -669,11 +529,7 @@ impl Sim {
     /// keep the run alive; outside serving mode it is exactly
     /// all-jobs-finished.)
     pub fn run_until_jobs_done(&mut self, horizon: SimTime) -> bool {
-        if self.windows_enabled() {
-            self.run_windowed(horizon, true);
-        } else {
-            self.engine.run_until_pred(horizon, |w| w.quiescent());
-        }
+        self.engine.run_until_pred(horizon, |w| w.quiescent());
         self.engine.model.all_jobs_finished()
     }
 

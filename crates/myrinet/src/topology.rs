@@ -539,131 +539,6 @@ impl Topology {
         }
     }
 
-    /// Total propagation latency of the `src → dst` route, in cycles.
-    /// This is a lower bound on packet delivery time (serialization time
-    /// is additive on top), which is what conservative lookahead needs.
-    pub fn route_latency_cycles(&self, src: HostId, dst: HostId) -> u64 {
-        self.route(src, dst)
-            .iter()
-            .map(|&l| self.links[l].latency_cycles)
-            .sum()
-    }
-
-    /// Conservative cross-shard lookahead for a host partition:
-    /// the minimum route latency between any two hosts in *different*
-    /// groups (`group_of_host[h]` is host `h`'s shard). An event handled
-    /// at `t` in one shard cannot make another shard's state change before
-    /// `t + lookahead`. Returns `None` when no route crosses groups — the
-    /// shards are link-disjoint and the lookahead is unbounded, so windows
-    /// are fenced by control-plane events alone.
-    pub fn min_cross_group_latency(&self, group_of_host: &[usize]) -> Option<u64> {
-        assert_eq!(group_of_host.len(), self.hosts, "one group per host");
-        if let Router::FatTree(shape) = &self.router {
-            return self.fat_tree_cross_latency(shape, group_of_host);
-        }
-        let mut min: Option<u64> = None;
-        for src in 0..self.hosts {
-            for dst in 0..self.hosts {
-                if src == dst || group_of_host[src] == group_of_host[dst] {
-                    continue;
-                }
-                let lat = self.route_latency_cycles(src, dst);
-                min = Some(min.map_or(lat, |m: u64| m.min(lat)));
-            }
-        }
-        min
-    }
-
-    /// Fat-tree lookahead in O(hosts): all links share one hop latency,
-    /// so the minimum cross-group route is 2, 4 or 6 hops depending on
-    /// whether some edge switch (then pod) hosts two different groups.
-    fn fat_tree_cross_latency(&self, shape: &FatTreeShape, group_of_host: &[usize]) -> Option<u64> {
-        let hop = HOP_LATENCY_CYCLES;
-        let mut crosses_edge = false;
-        let mut crosses_pod = false;
-        let mut crosses_any = false;
-        // First group seen per edge switch / per pod / globally.
-        let mut edge_first: Vec<Option<usize>> = vec![None; shape.pods * shape.edges_per_pod];
-        let mut pod_first: Vec<Option<usize>> = vec![None; shape.pods];
-        let mut global_first: Option<usize> = None;
-        for (h, &g) in group_of_host.iter().enumerate() {
-            let (ge, p) = (shape.edge_of(h), shape.pod_of(h));
-            match edge_first[ge] {
-                None => edge_first[ge] = Some(g),
-                Some(f) if f != g => crosses_edge = true,
-                _ => {}
-            }
-            match pod_first[p] {
-                None => pod_first[p] = Some(g),
-                Some(f) if f != g => crosses_pod = true,
-                _ => {}
-            }
-            match global_first {
-                None => global_first = Some(g),
-                Some(f) if f != g => crosses_any = true,
-                _ => {}
-            }
-        }
-        if crosses_edge {
-            Some(2 * hop)
-        } else if crosses_pod {
-            Some(4 * hop)
-        } else if crosses_any {
-            Some(6 * hop)
-        } else {
-            None
-        }
-    }
-
-    /// Every link id a route between two hosts of `hosts` traverses —
-    /// the complete set of network state a shard owning exactly those
-    /// hosts can read or write. Sorted and deduplicated.
-    ///
-    /// Pod-aware fast path: a fat-tree group confined to one edge switch
-    /// only ever touches its own host links (`2h`/`2h+1`), so the set is
-    /// written directly without walking the O(|hosts|²) route pairs.
-    pub fn group_links(&self, hosts: &[HostId]) -> Vec<LinkId> {
-        if let Router::FatTree(shape) = &self.router {
-            if let Some(links) = Self::edge_local_links(shape, hosts) {
-                return links;
-            }
-        }
-        let mut out: Vec<LinkId> = Vec::new();
-        for &src in hosts {
-            for &dst in hosts {
-                if src != dst {
-                    out.extend_from_slice(&self.route(src, dst));
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// The host-link set `{2h, 2h+1}` for a group whose members all share
-    /// one edge switch — provably equal to the generic route-union (every
-    /// intra-edge route is exactly `[2·src, 2·dst+1]`). `None` when the
-    /// group spans edges. Mirrors the generic path's "no pairs, no links"
-    /// behavior for groups of fewer than two hosts.
-    fn edge_local_links(shape: &FatTreeShape, hosts: &[HostId]) -> Option<Vec<LinkId>> {
-        if hosts.len() < 2 {
-            return Some(Vec::new());
-        }
-        let ge = shape.edge_of(hosts[0]);
-        if hosts.iter().any(|&h| shape.edge_of(h) != ge) {
-            return None;
-        }
-        let mut out = Vec::with_capacity(2 * hosts.len());
-        for &h in hosts {
-            out.push(2 * h);
-            out.push(2 * h + 1);
-        }
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
-    }
-
     fn port_index(&self, p: Port) -> usize {
         match p {
             Port::Host(h) => h,
@@ -765,32 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_group_lookahead_from_route_latencies() {
-        let t = Topology::single_switch(4);
-        // Any split of a single-switch net crosses through two hops of the
-        // default hop latency.
-        let lat = t.min_cross_group_latency(&[0, 0, 1, 1]).unwrap();
-        assert_eq!(lat, 2 * HOP_LATENCY_CYCLES);
-        // One group: nothing crosses, lookahead unbounded.
-        assert_eq!(t.min_cross_group_latency(&[0, 0, 0, 0]), None);
-        // Custom latency feeds straight through.
-        let t = Topology::single_switch_custom(4, MYRINET_BW, 7);
-        assert_eq!(t.min_cross_group_latency(&[0, 1, 1, 1]), Some(14));
-    }
-
-    #[test]
-    fn group_links_are_disjoint_for_disjoint_pairs() {
-        let t = Topology::single_switch(6);
-        let a = t.group_links(&[0, 1]);
-        let b = t.group_links(&[2, 3]);
-        assert!(!a.is_empty() && !b.is_empty());
-        assert!(a.iter().all(|l| !b.contains(l)), "pairs share links");
-        // Overlapping host sets share links.
-        let c = t.group_links(&[1, 2]);
-        assert!(c.iter().any(|l| a.contains(l)));
-    }
-
-    #[test]
     #[should_panic(expected = "unreachable")]
     fn unreachable_host_panics() {
         // Host 1 has no incoming link.
@@ -864,27 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn fat_tree_group_links_fast_path_matches_generic() {
-        let t = Topology::fat_tree(FatTreeShape::for_hosts(64));
-        // An intra-edge group takes the fast path; compute the generic
-        // union by hand and compare.
-        let hosts = [1usize, 3, 5];
-        let mut generic: Vec<LinkId> = Vec::new();
-        for &s in &hosts {
-            for &d in &hosts {
-                if s != d {
-                    generic.extend_from_slice(&t.route(s, d));
-                }
-            }
-        }
-        generic.sort_unstable();
-        generic.dedup();
-        assert_eq!(t.group_links(&hosts), generic);
-        // Single-host groups have no pairs, hence no links (both paths).
-        assert!(t.group_links(&[9]).is_empty());
-    }
-
-    #[test]
     fn fat_tree_tiers_partition_the_link_table() {
         let shape = FatTreeShape::for_hosts(64);
         let t = Topology::fat_tree(shape);
@@ -902,31 +730,5 @@ mod tests {
             2 * shape.pods * shape.edges_per_pod * shape.aggs_per_pod
         );
         assert_eq!(counts[2], 2 * shape.spines * shape.pods);
-    }
-
-    #[test]
-    fn fat_tree_lookahead_matches_generic_scan() {
-        let t = Topology::fat_tree(FatTreeShape::for_hosts(64));
-        // Split inside one edge switch: two hops.
-        let mut groups = vec![0usize; 64];
-        groups[1] = 1;
-        assert_eq!(
-            t.min_cross_group_latency(&groups),
-            Some(2 * HOP_LATENCY_CYCLES)
-        );
-        // Split at pod granularity (pods of 16 hosts): six hops.
-        let by_pod: Vec<usize> = (0..64).map(|h| h / 16).collect();
-        assert_eq!(
-            t.min_cross_group_latency(&by_pod),
-            Some(6 * HOP_LATENCY_CYCLES)
-        );
-        // Split at edge granularity within pods: four hops.
-        let by_edge: Vec<usize> = (0..64).map(|h| h / 8).collect();
-        assert_eq!(
-            t.min_cross_group_latency(&by_edge),
-            Some(4 * HOP_LATENCY_CYCLES)
-        );
-        // One group: unbounded.
-        assert_eq!(t.min_cross_group_latency(&vec![0; 64]), None);
     }
 }

@@ -58,11 +58,6 @@ pub struct ControlNet {
     node_link_free: Vec<SimTime>,
     /// Messages carried.
     pub messages: u64,
-    /// When set, any traffic panics. Shard shells in the windowed parallel
-    /// engine carry a poisoned control net: the window classifier proves no
-    /// control-plane message is sent inside a window, and this converts a
-    /// violated proof into a loud failure instead of a silent divergence.
-    poisoned: bool,
 }
 
 impl Default for ControlNet {
@@ -74,7 +69,6 @@ impl Default for ControlNet {
             master_link_free: SimTime::ZERO,
             node_link_free: Vec::new(),
             messages: 0,
-            poisoned: false,
         }
     }
 }
@@ -85,27 +79,9 @@ impl ControlNet {
         Self::default()
     }
 
-    /// A control net that panics on any use — see the `poisoned` field.
-    pub fn poisoned() -> Self {
-        ControlNet {
-            poisoned: true,
-            ..Self::default()
-        }
-    }
-
-    #[inline]
-    fn check_live(&self) {
-        assert!(
-            !self.poisoned,
-            "control-plane traffic inside a parallel window: the event \
-             classifier admitted an event that talks to the master"
-        );
-    }
-
     /// Master multicasts one message at `now`; returns the delivery instant
     /// at every node (one wire transmission — the multicast property).
     pub fn multicast(&mut self, now: SimTime) -> SimTime {
-        self.check_live();
         let start = now.max(self.master_link_free);
         let end = start + self.per_msg_wire;
         self.master_link_free = end;
@@ -117,7 +93,6 @@ impl ControlNet {
     /// at the master. Node links are independent, but all unicasts share
     /// the master's receive link.
     pub fn unicast_to_master(&mut self, now: SimTime) -> SimTime {
-        self.check_live();
         let start = now.max(self.master_link_free);
         let end = start + self.per_msg_wire;
         self.master_link_free = end;
@@ -138,7 +113,6 @@ impl ControlNet {
     /// wire transmissions on its own link, but different forwarders pay
     /// them concurrently.
     pub fn unicast_node_to_node(&mut self, now: SimTime, from: usize) -> SimTime {
-        self.check_live();
         if self.node_link_free.len() <= from {
             self.node_link_free.resize(from + 1, SimTime::ZERO);
         }
@@ -172,12 +146,6 @@ mod tests {
         // Node replies queue behind too.
         let r = c.unicast_to_master(SimTime::ZERO);
         assert!(r > d2);
-    }
-
-    #[test]
-    #[should_panic(expected = "control-plane traffic inside a parallel window")]
-    fn poisoned_net_rejects_traffic() {
-        ControlNet::poisoned().unicast_to_master(SimTime::ZERO);
     }
 
     #[test]

@@ -47,22 +47,13 @@ impl std::error::Error for SchedError {}
 /// The pending-event queue, handed to the model during event handling so it
 /// can schedule follow-ups.
 pub struct Scheduler<E> {
-    pub(crate) now: SimTime,
-    pub(crate) seq: u64,
+    now: SimTime,
+    seq: u64,
     queue: EventQueue<E>,
     /// How many `at` calls asked for a past instant and were clamped to
     /// `now` (each one is a causality bug in the model, papered over in
     /// release builds).
     clamped: u64,
-    /// Run-ahead fence: the horizon of the current `run_*` call. A model
-    /// batching its own dispatch (see [`Scheduler::claim_seq`]) must not
-    /// handle events past this instant — the driver expects them to still
-    /// be pending when the run returns.
-    pub(crate) fence: SimTime,
-    /// Events the model dispatched inline (run-ahead) without going
-    /// through the queue. Together with [`Engine::events_processed`] this
-    /// keeps total dispatch accounting exact under batching.
-    pub(crate) inline: u64,
 }
 
 impl<E> Scheduler<E> {
@@ -72,33 +63,7 @@ impl<E> Scheduler<E> {
             seq: 0,
             queue: EventQueue::new(),
             clamped: 0,
-            fence: SimTime::MAX,
-            inline: 0,
         }
-    }
-
-    /// A shard-local scheduler for one window of windowed parallel
-    /// execution (see [`crate::parallel`]): the clock starts at the window
-    /// open, the run-ahead fence at the window fence, and the sequence
-    /// counter at `seq_base` — the virtual-claim base, chosen above every
-    /// real sequence number so shard-local claims order after drained
-    /// events at the same instant exactly as freshly claimed seqs would in
-    /// a sequential run.
-    pub(crate) fn shard(now: SimTime, seq_base: u64, fence: SimTime) -> Self {
-        Scheduler {
-            now,
-            seq: seq_base,
-            queue: EventQueue::new(),
-            clamped: 0,
-            fence,
-            inline: 0,
-        }
-    }
-
-    /// Pop the earliest pending `(time, seq, event)` without advancing the
-    /// clock (shard loops and the window drain advance it themselves).
-    pub(crate) fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        self.queue.pop_entry()
     }
 
     /// Pre-size the queue for `n` simultaneously pending events.
@@ -189,71 +154,6 @@ impl<E> Scheduler<E> {
     fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
-
-    /// The `(time, seq)` key of the earliest pending event, if any.
-    ///
-    /// Run-ahead contract: a model may handle one of its own emissions
-    /// inline (without enqueueing it) exactly when the emission's claimed
-    /// key precedes this key and its time does not exceed [`Scheduler::fence`].
-    /// Under that rule the inline dispatch order is identical to the order
-    /// the engine itself would have delivered.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.queue.peek_key()
-    }
-
-    /// Claim the next FIFO sequence number without enqueueing an event.
-    ///
-    /// A batching model claims a seq at the exact point it would otherwise
-    /// have scheduled the event, so tie-breaking order is bit-identical
-    /// whether the event is later enqueued (via [`Scheduler::push_claimed`])
-    /// or handled inline and never materialized.
-    #[inline]
-    pub fn claim_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    /// Enqueue an event under a previously [claimed](Scheduler::claim_seq)
-    /// sequence number (a deferred emission the model decided not to handle
-    /// inline after all).
-    #[inline]
-    pub fn push_claimed(&mut self, t: SimTime, seq: u64, event: E) {
-        debug_assert!(t >= self.now, "claimed push into the past");
-        debug_assert!(seq < self.seq, "seq {seq} was never claimed");
-        self.queue.push(t, seq, event);
-    }
-
-    /// The current run horizon. [`Engine::run_until`] and friends set this
-    /// to their horizon so a run-ahead model never handles events the
-    /// driver expects to remain pending; outside a bounded run it is
-    /// [`SimTime::MAX`].
-    #[inline]
-    pub fn fence(&self) -> SimTime {
-        self.fence
-    }
-
-    /// Record one inline (run-ahead) dispatch, for exact event accounting.
-    #[inline]
-    pub fn note_inline_dispatch(&mut self) {
-        self.inline += 1;
-    }
-
-    /// Record `n` logical events a model retired without materializing them
-    /// (e.g. a fused packet train), keeping
-    /// [`Engine::logical_events`](crate::engine::Engine::logical_events)
-    /// equal to the unbatched event count.
-    #[inline]
-    pub fn note_inline_dispatches(&mut self, n: u64) {
-        self.inline += n;
-    }
-
-    /// Events the model reported dispatching inline.
-    #[inline]
-    pub fn inline_dispatches(&self) -> u64 {
-        self.inline
-    }
 }
 
 /// Why a [`Engine::run_until`] call returned.
@@ -296,7 +196,7 @@ pub struct Engine<M: Model> {
     /// The simulation model. Public so drivers can inspect/instrument state
     /// between runs.
     pub model: M,
-    pub(crate) sched: Scheduler<M::Event>,
+    sched: Scheduler<M::Event>,
     events_processed: u64,
     /// Safety valve against model livelocks (an event chain that never
     /// advances time). Checked by [`Engine::run_until`].
@@ -385,21 +285,17 @@ impl<M: Model> Engine<M> {
         self.sched.now
     }
 
-    /// Total events processed so far (engine dispatches only — excludes
-    /// events a batching model handled inline; see
-    /// [`Engine::logical_events`]).
+    /// Total events processed so far.
     #[inline]
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
-    /// Total logical events dispatched: engine dispatches plus inline
-    /// (run-ahead) dispatches the model reported via
-    /// [`Scheduler::note_inline_dispatch`]. For a given model and seed this
-    /// total is invariant under batching.
+    /// The same count as [`Engine::events_processed`]. Kept only because
+    /// `perfbench/src/main.rs` reads it.
     #[inline]
     pub fn logical_events(&self) -> u64 {
-        self.events_processed + self.sched.inline_dispatches()
+        self.events_processed
     }
 
     /// Number of pending events.
@@ -450,13 +346,9 @@ impl<M: Model> Engine<M> {
     }
 
     /// Process the single earliest event if it is due at or before
-    /// `horizon`, with the run-ahead fence set to `horizon` (so batching
-    /// models see the same bound [`Engine::run_until`] would give them).
-    /// Returns the instant the event fired, or `None` when nothing is due.
-    /// The clock is left alone on `None` — drivers interleaving their own
-    /// dispatch (the windowed parallel driver) finalize it themselves.
+    /// `horizon`. Returns the instant the event fired, or `None` when
+    /// nothing is due; the clock is left alone on `None`.
     pub fn step_bounded(&mut self, horizon: SimTime) -> Option<SimTime> {
-        self.sched.fence = horizon;
         match self.sched.peek_time() {
             Some(t) if t <= horizon => self.step(),
             _ => None,
@@ -468,7 +360,6 @@ impl<M: Model> Engine<M> {
     /// to the horizon even if the queue drained earlier.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         let start_events = self.events_processed;
-        self.sched.fence = horizon;
         loop {
             match self.sched.peek_time() {
                 Some(t) if t <= horizon => {
@@ -492,7 +383,6 @@ impl<M: Model> Engine<M> {
     /// Run until the queue drains completely.
     pub fn run_to_idle(&mut self) -> RunOutcome {
         let start_events = self.events_processed;
-        self.sched.fence = SimTime::MAX;
         while self.step().is_some() {
             if self.events_processed - start_events >= self.event_limit {
                 return RunOutcome::EventLimit;
@@ -509,7 +399,6 @@ impl<M: Model> Engine<M> {
         mut pred: impl FnMut(&M) -> bool,
     ) -> RunOutcome {
         let start_events = self.events_processed;
-        self.sched.fence = horizon;
         loop {
             if pred(&self.model) {
                 return RunOutcome::Horizon;
@@ -528,19 +417,6 @@ impl<M: Model> Engine<M> {
                 None => return RunOutcome::Idle,
             }
         }
-    }
-
-    /// Account one event dispatched outside the engine's own step loop —
-    /// the windowed parallel driver replaying the merged global order of a
-    /// window's shard-dispatched events. Folds the digest, the per-kind
-    /// counter, and the processed count exactly as [`Engine::step`] would.
-    pub(crate) fn fold_dispatch(&mut self, time: SimTime, kind: usize) {
-        self.events_processed += 1;
-        debug_assert!(kind < self.kind_counts.len(), "kind index out of range");
-        if let Some(c) = self.kind_counts.get_mut(kind) {
-            *c += 1;
-        }
-        self.digest = fnv1a(fnv1a(self.digest, time.raw()), kind as u64);
     }
 }
 

@@ -7,11 +7,7 @@
 //!   (FIFO-ordered timestamp ties ⇒ bit-identical replays);
 //! * [`queue`] — the engine's pending-event queue: a 4-ary min-heap of
 //!   small index entries over a slab arena of event payloads;
-//! * [`parallel`] — conservative time-window parallel execution: shard
-//!   runs and the deterministic `(time, seq, shard)` merge that keeps
-//!   multi-threaded runs bit-identical to sequential ones;
-//! * [`pool`] — the workspace's single worker-budget source plus a
-//!   persistent worker pool;
+//! * [`pool`] — the workspace's single source of worker-pool sizing;
 //! * [`mem`] — the host-side memory-region copy-cost model calibrated to the
 //!   paper's measured 45 / 14 / 80 MB/s bandwidths;
 //! * [`stats`] — bandwidth meters, histograms, time-weighted statistics;
@@ -23,7 +19,6 @@
 
 pub mod engine;
 pub mod mem;
-pub mod parallel;
 pub mod pool;
 pub mod queue;
 pub mod report;

@@ -7,7 +7,7 @@
 //! sender receives the finish message it times it and calculates the
 //! bandwidth."
 
-use crate::program::{frag_ops, Op, ProcView, Program, Workload};
+use crate::program::{Op, ProcView, Program, Workload};
 
 /// Size of the finish message the receiver sends back.
 pub const FINISH_BYTES: u64 = 64;
@@ -60,20 +60,6 @@ impl Program for Sender {
             Op::Done
         }
     }
-    fn ops_remaining(&self, view: &ProcView) -> Option<u64> {
-        // Every payload byte not yet injected costs a fragment injection
-        // (`bytes_sent` counts per fragment, so the in-flight message is
-        // reflected); `count - sent` (messages not yet issued) covers the
-        // sub-fragment case. The finish message adds one extraction.
-        // Saturating: duration-driven cells use `count` as an effectively
-        // unbounded sentinel, and the product only needs to stay an upper
-        // bound on bytes left.
-        let total = self.count.saturating_mul(self.msg_bytes);
-        let by_bytes = frag_ops(total.saturating_sub(view.bytes_sent));
-        let by_msgs = self.count - self.sent;
-        let finish = u64::from(view.msgs_received < 1);
-        Some(by_bytes.max(by_msgs) + finish)
-    }
     fn name(&self) -> &'static str {
         "p2p-sender"
     }
@@ -83,7 +69,6 @@ impl Program for Sender {
 #[derive(Debug, Clone)]
 struct Receiver {
     count: u64,
-    msg_bytes: u64,
     finished: bool,
 }
 
@@ -100,17 +85,6 @@ impl Program for Receiver {
         } else {
             Op::Done
         }
-    }
-    fn ops_remaining(&self, view: &ProcView) -> Option<u64> {
-        // Every payload byte not yet extracted costs a fragment extraction
-        // on this CPU (`bytes_received` counts per fragment), every
-        // not-fully-received message at least one, and the finish Send one
-        // injection. This is what keeps windows wide during the steady
-        // state: the bound shrinks only as fragments actually land.
-        let total = self.count.saturating_mul(self.msg_bytes);
-        let by_bytes = frag_ops(total.saturating_sub(view.bytes_received));
-        let by_msgs = self.count.saturating_sub(view.msgs_received);
-        Some(by_bytes.max(by_msgs) + u64::from(!self.finished))
     }
     fn name(&self) -> &'static str {
         "p2p-receiver"
@@ -131,7 +105,6 @@ impl Workload for P2pBandwidth {
             }),
             1 => Box::new(Receiver {
                 count: self.count,
-                msg_bytes: self.msg_bytes,
                 finished: false,
             }),
             r => panic!("p2p benchmark has 2 ranks, asked for {r}"),
@@ -154,9 +127,7 @@ mod tests {
             rank,
             nprocs: 2,
             msgs_received: received,
-            bytes_received: 0,
             msgs_sent: sent,
-            bytes_sent: 0,
         }
     }
 

@@ -7,7 +7,7 @@
 //! irregular on the wire (unlike ring or all-to-all) while preserving the
 //! count-based wait contract the simulator's blocking primitive uses.
 
-use crate::program::{frag_ops, Op, ProcView, Program, Workload};
+use crate::program::{Op, ProcView, Program, Workload};
 
 /// Irregular point-to-point traffic from a shared seed.
 #[derive(Debug, Clone, Copy)]
@@ -61,9 +61,6 @@ struct PairsProgram {
     rank: usize,
     round: u64,
     sent_this_round: bool,
-    /// Total messages owed over the whole schedule, precomputed so the
-    /// per-window `ops_remaining` probe stays O(1).
-    owed_total: u64,
 }
 
 impl Program for PairsProgram {
@@ -95,21 +92,6 @@ impl Program for PairsProgram {
         }
         self.next_op(view)
     }
-    fn ops_remaining(&self, view: &ProcView) -> Option<u64> {
-        // The schedule is fixed by the seed: this rank sends `rounds`
-        // messages (`rounds * msg_bytes` payload bytes) and collects its
-        // owed total before Done. The byte terms count one op per fragment
-        // still to move (tight for multi-fragment messages), the message
-        // terms one per message (tight for sub-fragment ones); all four
-        // are lower bounds, so the pairwise max is too.
-        let send_total = self.cfg.rounds.saturating_mul(self.cfg.msg_bytes);
-        let send = frag_ops(send_total.saturating_sub(view.bytes_sent))
-            .max(self.cfg.rounds.saturating_sub(view.msgs_sent));
-        let recv_total = self.owed_total.saturating_mul(self.cfg.msg_bytes);
-        let recv = frag_ops(recv_total.saturating_sub(view.bytes_received))
-            .max(self.owed_total.saturating_sub(view.msgs_received));
-        Some(send + recv)
-    }
     fn name(&self) -> &'static str {
         "random-pairs"
     }
@@ -126,7 +108,6 @@ impl Workload for RandomPairs {
             rank,
             round: 0,
             sent_this_round: false,
-            owed_total: expected_received(self.seed, self.nprocs, rank, self.rounds),
         })
     }
     fn name(&self) -> &'static str {
@@ -186,9 +167,7 @@ mod tests {
                     rank: r,
                     nprocs: 4,
                     msgs_received: received[r],
-                    bytes_received: 0,
                     msgs_sent: 0,
-                    bytes_sent: 0,
                 };
                 match progs[r].next_op(&view) {
                     Op::Send { dst, .. } => received[dst] += 1,

@@ -43,67 +43,16 @@ pub struct ProcView {
     pub nprocs: usize,
     /// Messages fully received so far.
     pub msgs_received: u64,
-    /// Payload bytes received so far.
-    pub bytes_received: u64,
     /// Messages fully sent so far.
     pub msgs_sent: u64,
-    /// Payload bytes injected so far (counted per fragment, so a partially
-    /// sent message is reflected immediately).
-    pub bytes_sent: u64,
-}
-
-/// A lower bound on the fragment operations (injections or extractions)
-/// needed to move `bytes_left` more payload bytes through the FM library:
-/// every fragment carries at most [`fastmsg::packet::MAX_PAYLOAD`] bytes.
-///
-/// Programs combine this with a per-message count (`max`, not `+`): the
-/// byte bound is tighter for large messages, the message bound for
-/// sub-fragment ones, and both are true lower bounds so their max is too.
-pub fn frag_ops(bytes_left: u64) -> u64 {
-    bytes_left.div_ceil(fastmsg::packet::MAX_PAYLOAD)
 }
 
 /// The behavior of one process.
-///
-/// Programs are `Send` so the windowed parallel engine can carry a shard's
-/// processes to a worker thread; they were always owned by a single node
-/// simulation, so nothing about the execution model changes.
-pub trait Program: Send {
+pub trait Program {
     /// The next operation. Called once at start and again after each op
     /// completes. Must eventually return [`Op::Done`] unless the program is
     /// deliberately endless (stress workloads stopped by the harness).
     fn next_op(&mut self, view: &ProcView) -> Op;
-
-    /// A lower bound on the number of host-CPU operations that must still
-    /// complete for this process before it can return [`Op::Done`], or
-    /// `None` when the program cannot tell. Countable operations are
-    /// message-fragment injections (each `Send` contributes at least one
-    /// per fragment still to inject — [`frag_ops`] over the bytes left),
-    /// receive-side extractions (one per fragment still to extract, and at
-    /// least one per message still missing from `view.msgs_received`), and
-    /// `Compute` ops — provided each `Compute` lasts at least one
-    /// fragment-injection time. Counting fragments rather than messages
-    /// matters: the window fence is `(hint - 1)` minimal operations past
-    /// the queue head, so a message-granular bound caps windows at a few
-    /// thousand cycles while the fragment-granular one lets a steady-state
-    /// bandwidth run open windows hundreds of fragments wide.
-    ///
-    /// The windowed parallel engine uses this to bound how soon a process
-    /// can exit: the countable operations serialize on the process's host
-    /// CPU and each occupies it for at least one minimal library
-    /// operation, so a process with `k` of them remaining cannot reach
-    /// `Done` for at least `k - 1` such durations — which is what lets a
-    /// window close *before* any process can possibly finish (process exit
-    /// is control-plane traffic that must not happen mid-window).
-    ///
-    /// The bound must never overestimate — returning a value larger than
-    /// the true remaining count breaks determinism of parallel runs.
-    /// `None` (the default) is always safe and simply disables windowed
-    /// parallelism for jobs running this program.
-    fn ops_remaining(&self, view: &ProcView) -> Option<u64> {
-        let _ = view;
-        None
-    }
 
     /// Workload name for traces and reports.
     fn name(&self) -> &'static str {
@@ -133,9 +82,6 @@ impl Program for IdleProgram {
     fn next_op(&mut self, _view: &ProcView) -> Op {
         Op::Done
     }
-    fn ops_remaining(&self, _view: &ProcView) -> Option<u64> {
-        Some(0)
-    }
     fn name(&self) -> &'static str {
         "idle"
     }
@@ -160,10 +106,6 @@ impl Default for SpinProgram {
 impl Program for SpinProgram {
     fn next_op(&mut self, _view: &ProcView) -> Op {
         Op::Compute(self.chunk)
-    }
-    fn ops_remaining(&self, _view: &ProcView) -> Option<u64> {
-        // Endless: every future event still leaves unbounded compute ahead.
-        Some(u64::MAX)
     }
     fn name(&self) -> &'static str {
         "spin"
@@ -210,9 +152,7 @@ mod tests {
             rank: 0,
             nprocs: 2,
             msgs_received: 0,
-            bytes_received: 0,
             msgs_sent: 0,
-            bytes_sent: 0,
         }
     }
 

@@ -6,7 +6,7 @@
 //! leaks and silent wedges. The defence is a floor invariant — a rebalance
 //! target is never below one credit, so every live channel always has at
 //! least one credit circulating and a one-credit window refills on every
-//! consumed packet. This harness attacks that claim from four sides:
+//! consumed packet. This harness attacks that claim from three sides:
 //!
 //! * adversarial schedules (gang and non-gang, rotating and co-resident
 //!   jobs, skewed and uniform traffic, mid-stream rebalances) must always
@@ -15,9 +15,7 @@
 //!   `C0 = Br/(n²·p)` hits zero and wedges, while Demand — same queue
 //!   split, same memory — completes;
 //! * the ledger can never acquire credits: its conserved capacity is
-//!   bounded by the full-buffer scheme's receive queue;
-//! * the windowed parallel engine replays the same rebalance schedule
-//!   bit-for-bit, so the proof is not an artifact of serial execution.
+//!   bounded by the full-buffer scheme's receive queue.
 
 use cluster::{ClusterConfig, Sim};
 use fastmsg::config::FmConfig;
@@ -31,8 +29,7 @@ use workloads::ring::Ring;
 
 /// One adversarial schedule: a job mix (with its slot requirement), a
 /// gang/non-gang mode, quanta, a rebalance cadence that may or may not
-/// divide the quantum, and a burst batch setting.
-#[allow(clippy::too_many_arguments)]
+/// divide the quantum.
 fn quiesce_case(
     shape: usize,
     gang: bool,
@@ -40,14 +37,12 @@ fn quiesce_case(
     rebalance_ms: u64,
     msg: u64,
     count: u64,
-    batch: usize,
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut cfg = ClusterConfig::parpar(4, 2, BufferPolicy::Demand);
     cfg.gang_scheduling = gang;
     cfg.quantum = Cycles::from_ms(quantum_ms);
     cfg.fm.demand.rebalance_interval = Cycles::from_ms(rebalance_ms);
-    cfg.batch = batch;
     cfg.seed = seed;
     let geo = cfg.fm.geometry();
     let full = {
@@ -144,11 +139,9 @@ proptest! {
         rebalance_ms in 1u64..12,
         msg in 1u64..6_000,
         count in 8u64..50,
-        batch_idx in 0usize..3,
         seed in any::<u64>(),
     ) {
-        let batch = [0usize, 3, 16][batch_idx];
-        quiesce_case(shape, gang, quantum_ms, rebalance_ms, msg, count, batch, seed)?;
+        quiesce_case(shape, gang, quantum_ms, rebalance_ms, msg, count, seed)?;
     }
 
     /// The ledger in isolation: arbitrary traffic skews and rebalance
@@ -226,48 +219,6 @@ fn demand_completes_where_static_division_wedges() {
     assert!(done, "demand wedged at the paper scale");
     assert_eq!(drops, 0);
     assert!(reallocs > 0, "skewed traffic should trigger rebalances");
-}
-
-/// Demand under the windowed parallel engine is the same simulation: the
-/// rebalance timers serialize between windows (they are node-less FM
-/// events) and every observable matches the sequential run exactly.
-#[test]
-fn parallel_demand_matches_sequential() {
-    let run = |threads: usize| {
-        let mut cfg = ClusterConfig::parpar(8, 1, BufferPolicy::Demand);
-        cfg.auto_rotate = false;
-        cfg.seed = 311;
-        cfg.threads = threads;
-        let mut sim = Sim::new(cfg);
-        let bench = P2pBandwidth::with_count(4096, 300);
-        let mut jobs = Vec::new();
-        for pair in [[0usize, 1], [2, 3], [4, 5], [6, 7]] {
-            jobs.push(sim.submit(&bench, Some(pair.to_vec())).unwrap());
-        }
-        assert!(sim.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(20)));
-        if threads > 1 {
-            assert!(
-                sim.parallel_windows() > 0,
-                "threads={threads}: windowed driver never engaged"
-            );
-        }
-        let finishes: Vec<_> = jobs
-            .iter()
-            .map(|j| sim.world().stats.job_finished[j])
-            .collect();
-        let w = sim.world();
-        (
-            sim.engine.events_processed(),
-            sim.engine.stream_digest(),
-            finishes,
-            w.stats.realloc_events,
-            w.stats.credits_migrated,
-        )
-    };
-    let seq = run(1);
-    for threads in [2, 8] {
-        assert_eq!(run(threads), seq, "threads={threads}");
-    }
 }
 
 /// The geometry backing the whole harness: Demand's per-context share is

@@ -1,41 +1,19 @@
 //! Serving-cluster mode end to end: open-loop arrivals through the jobrep
-//! admission queue, streaming latency percentiles, and the determinism
-//! contract — p50/p99/p999 and the logical fingerprint are bit-identical
-//! across thread counts and batch settings.
+//! admission queue and streaming latency percentiles.
 
-use cluster::measure::{Measurement, SchedulingMode, ServeCell};
+use cluster::measure::{Measurement, SchedulingMode};
 use cluster::{ArrivalPlan, ArrivalSpec, ClusterConfig, Sim};
 use fastmsg::division::BufferPolicy;
 use proptest::prelude::*;
 use sim_core::time::{Cycles, SimTime};
 
-fn gang_cell(threads: usize, batch: usize) -> ServeCell {
-    Measurement::serve(8, 2, SchedulingMode::Gang)
+#[test]
+fn serve_completes_and_records_latencies() {
+    let c = Measurement::serve(8, 2, SchedulingMode::Gang)
         .arrival_rate(3.0)
         .horizon(Cycles::from_secs(3))
         .seed(42)
-        .threads(threads)
-        .batch(batch)
-        .run()
-}
-
-fn percentiles(c: &ServeCell) -> [u64; 9] {
-    [
-        c.wait_p50,
-        c.wait_p99,
-        c.wait_p999,
-        c.service_p50,
-        c.service_p99,
-        c.service_p999,
-        c.e2e_p50,
-        c.e2e_p99,
-        c.e2e_p999,
-    ]
-}
-
-#[test]
-fn serve_completes_and_records_latencies() {
-    let c = gang_cell(1, 0);
+        .run();
     assert!(c.submitted > 0, "{c:?}");
     assert_eq!(c.rejected, 0, "{c:?}");
     assert!(c.drained, "moderate load must drain: {c:?}");
@@ -48,48 +26,6 @@ fn serve_completes_and_records_latencies() {
     assert!(c.e2e_p50 >= c.service_p50, "{c:?}");
     assert!(c.service_p50 > 0, "jobs take time: {c:?}");
     assert!((0.0..=1.0).contains(&c.slo_attainment));
-}
-
-#[test]
-fn serve_percentiles_pinned_across_threads_and_batch() {
-    // Reliability is on (the serve default), so the windowed engine falls
-    // back to the sequential loop — the contract still holds and this pins
-    // it at the API level.
-    let base = gang_cell(1, 0);
-    for (threads, batch) in [(2, 0), (8, 0), (1, 16), (8, 16)] {
-        let c = gang_cell(threads, batch);
-        assert_eq!(
-            percentiles(&base),
-            percentiles(&c),
-            "threads={threads} batch={batch}"
-        );
-        assert_eq!(
-            base.fingerprint, c.fingerprint,
-            "threads={threads} batch={batch}"
-        );
-        assert_eq!(base.completed, c.completed);
-    }
-}
-
-#[test]
-fn serve_percentiles_pinned_when_window_eligible() {
-    // Reliability off + gang + GangFlush: the windowed parallel engine is
-    // eligible, so this exercises the JobArrival-closes-windows path.
-    let cell = |threads: usize| {
-        Measurement::serve(8, 2, SchedulingMode::Gang)
-            .arrival_rate(3.0)
-            .horizon(Cycles::from_secs(3))
-            .reliability(false)
-            .seed(7)
-            .threads(threads)
-            .run()
-    };
-    let base = cell(1);
-    for threads in [2, 8] {
-        let c = cell(threads);
-        assert_eq!(percentiles(&base), percentiles(&c), "threads={threads}");
-        assert_eq!(base.fingerprint, c.fingerprint, "threads={threads}");
-    }
 }
 
 #[test]
