@@ -5,8 +5,8 @@
 //! event vocabulary — `bus.emit(t, NicEvent::SendEngineDone { node })` —
 //! without naming the top-level wrapper.
 
-use sim_core::engine::{SchedError, Scheduler};
-use sim_core::time::{Cycles, SimTime};
+use sim_core::engine::Scheduler;
+use sim_core::time::SimTime;
 
 use crate::event::Event;
 
@@ -37,22 +37,10 @@ impl<'a> Bus<'a> {
         self.sched.at(t, event.into());
     }
 
-    /// Emit `event` after a relative delay `d`.
-    #[inline]
-    pub fn emit_after<E: Into<Event>>(&mut self, d: Cycles, event: E) {
-        self.emit(self.now + d, event);
-    }
-
     /// Emit `event` at the current instant (delivered after the events
     /// already queued for this instant).
     #[inline]
     pub fn emit_now<E: Into<Event>>(&mut self, event: E) {
         self.emit(self.now, event);
-    }
-
-    /// Emit `event` at `t`, rejecting past instants instead of clamping.
-    #[inline]
-    pub fn try_emit<E: Into<Event>>(&mut self, t: SimTime, event: E) -> Result<(), SchedError> {
-        self.sched.try_at(t, event.into())
     }
 }

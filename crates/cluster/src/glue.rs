@@ -20,8 +20,8 @@ use sim_core::engine::Scheduler;
 use sim_core::time::SimTime;
 
 use crate::bus::Bus;
-use crate::event::{Event, SwitchEvent};
-use crate::handlers::{AppHandler, NicHandler, SwitchHandler};
+use crate::event::Event;
+use crate::handlers::nic::Broadcast;
 use crate::world::World;
 
 impl World {
@@ -80,7 +80,17 @@ impl World {
             // division, Demand the same queue split with movable credit
             // windows on top.
             BufferPolicy::StaticDivision | BufferPolicy::Demand => true,
-            BufferPolicy::FullBuffer => slot == n.noded.current_slot,
+            // The active slot's job owns the one NIC context — unless a
+            // switch into this slot has not moved its buffers yet and the
+            // outgoing job still holds the context: then this one starts
+            // in the backing store and the switch's copy restores it.
+            BufferPolicy::FullBuffer => {
+                let copy_pending =
+                    matches!(n.seq.phase(), SwitchPhase::Halting | SwitchPhase::Copying)
+                        || n.alt_switch.is_some();
+                slot == n.noded.current_slot
+                    && !(copy_pending && n.nic.resident_contexts().next().is_some())
+            }
             // VN caching: resident while cache slots remain; later jobs
             // start in backing store and fault in on first use.
             BufferPolicy::CachedEndpoints => n
@@ -170,9 +180,7 @@ impl World {
                 }
             }
         }
-        let cost = self.copy_cost_for(node, from, to);
-        let r = self.nodes[node].cpu.reserve(now, cost);
-        bus.emit(r.end, SwitchEvent::CopyDone { node });
+        self.schedule_copy(now, node, from, to, bus);
         Ok(())
     }
 
@@ -188,7 +196,7 @@ impl World {
         if self.nodes[node].seq.phase() != SwitchPhase::Releasing {
             return Err(CommError::BadPhase);
         }
-        self.begin_ready_broadcast(now, node, bus);
+        self.control_broadcast(now, node, Broadcast::Ready, bus);
         Ok(())
     }
 }

@@ -12,12 +12,14 @@ use sim_core::trace::Category;
 
 use crate::bus::Bus;
 use crate::event::{AppEvent, DaemonEvent};
-use crate::handlers::{DaemonHandler, NicHandler, SlotView, SwitchHandler};
+use crate::handlers::nic::Broadcast;
 use crate::procsim::{ProcPhase, ProcSim};
 use crate::world::World;
 
-impl DaemonHandler for World {
-    fn on_daemon(&mut self, now: SimTime, ev: DaemonEvent, bus: &mut Bus) {
+impl World {
+    /// Dispatch one control-plane event.
+    #[inline(never)]
+    pub(crate) fn on_daemon(&mut self, now: SimTime, ev: DaemonEvent, bus: &mut Bus) {
         match ev {
             DaemonEvent::QuantumExpired => self.on_quantum_expired(now, bus),
             DaemonEvent::NodeTick { node } => self.on_node_tick(now, node, bus),
@@ -30,7 +32,16 @@ impl DaemonHandler for World {
         }
     }
 
-    fn dynamic_cosched_preempt(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) {
+    /// Dynamic coscheduling: deschedule whoever runs and schedule the
+    /// process an incoming message is destined to (related work [12]).
+    /// Called by the NIC handler on message arrival.
+    pub(crate) fn dynamic_cosched_preempt(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        pid: Pid,
+        bus: &mut Bus,
+    ) {
         let n = &mut self.nodes[node];
         let Some(target_slot) = n.apps.get(&pid).map(|p| p.slot) else {
             return;
@@ -48,9 +59,15 @@ impl DaemonHandler for World {
             AppEvent::ProcKick { node, pid },
         );
     }
-}
 
-impl World {
+    /// The (slot, pid) of `job` on `node`, if loaded.
+    fn noded_lookup(&self, node: usize, job: JobId) -> Option<(usize, Pid)> {
+        let noded = &self.nodes[node].noded;
+        let slot = noded.slot_of(job)?;
+        let (_, pid) = noded.in_slot(slot)?;
+        Some((slot, pid))
+    }
+
     /// The masterd's quantum timer fired: rotate if there is anything to
     /// rotate to, and rearm the timer.
     fn on_quantum_expired(&mut self, now: SimTime, bus: &mut Bus) {
@@ -231,26 +248,22 @@ impl World {
                 bus.emit(acted, DaemonEvent::NodedAct { node, cmd });
             }
             TreeMsg::SwitchDoneAgg { epoch, count } => {
-                if let Some(total) = self.tree_agg[node].add_switch_done(epoch, count) {
-                    self.forward_switch_agg(acted, node, epoch, total, bus);
-                }
+                self.tree_report_switch_done(acted, node, epoch, count, bus)
             }
             TreeMsg::JobFinishedAgg { job, count } => {
-                if let Some(total) = self.tree_agg[node].add_job_finished(job, count) {
-                    self.forward_job_agg(acted, node, job, total, bus);
-                }
+                self.tree_report_job_finished(acted, node, job, count, bus)
             }
         }
     }
 
-    /// Send a completed switch-done reduction one level up the tree, or to
-    /// the masterd from the root.
-    fn forward_switch_agg(
+    /// Send a completed reduction one level up the tree as `up`, or to the
+    /// masterd as `root` from the root.
+    fn forward_agg(
         &mut self,
         now: SimTime,
         node: usize,
-        epoch: u64,
-        count: usize,
+        up: TreeMsg,
+        root: MasterMsg,
         bus: &mut Bus,
     ) {
         let tree = self.tree.as_ref().expect("tree control plane");
@@ -261,83 +274,51 @@ impl World {
                     t,
                     DaemonEvent::CtrlToPeer {
                         node: parent,
-                        msg: TreeMsg::SwitchDoneAgg { epoch, count },
+                        msg: up,
                     },
                 );
             }
             None => {
                 let t = self.ctrl.unicast_to_master(now);
-                bus.emit(
-                    t,
-                    DaemonEvent::CtrlToMaster {
-                        msg: MasterMsg::SwitchDoneAgg { epoch, count },
-                    },
-                );
+                bus.emit(t, DaemonEvent::CtrlToMaster { msg: root });
             }
         }
     }
 
-    /// Send a completed job-finished reduction one level up the tree, or to
-    /// the masterd from the root.
-    fn forward_job_agg(
-        &mut self,
-        now: SimTime,
-        node: usize,
-        job: JobId,
-        count: usize,
-        bus: &mut Bus,
-    ) {
-        let tree = self.tree.as_ref().expect("tree control plane");
-        match tree.parent(node) {
-            Some(parent) => {
-                let t = self.ctrl.unicast_node_to_node(now, node);
-                bus.emit(
-                    t,
-                    DaemonEvent::CtrlToPeer {
-                        node: parent,
-                        msg: TreeMsg::JobFinishedAgg { job, count },
-                    },
-                );
-            }
-            None => {
-                let t = self.ctrl.unicast_to_master(now);
-                bus.emit(
-                    t,
-                    DaemonEvent::CtrlToMaster {
-                        msg: MasterMsg::JobFinishedAgg { job, count },
-                    },
-                );
-            }
-        }
-    }
-
-    /// A node's own switch completed (tree control plane): contribute one
-    /// ack to the local reduction; the combined count ascends when the
-    /// subtree is done. The local contribution is free — the noded is
-    /// already running — only upward hops pay wake and wire costs.
+    /// Fold `count` switch-done acks into this node's reduction (tree
+    /// control plane); the combined count ascends once the whole subtree
+    /// has reported. A node's own switch contributes one ack for free —
+    /// the noded is already running — only upward hops pay wake and wire
+    /// costs.
     pub(crate) fn tree_report_switch_done(
         &mut self,
         now: SimTime,
         node: usize,
         epoch: u64,
+        count: usize,
         bus: &mut Bus,
     ) {
-        if let Some(total) = self.tree_agg[node].add_switch_done(epoch, 1) {
-            self.forward_switch_agg(now, node, epoch, total, bus);
+        if let Some(count) = self.tree_agg[node].add_switch_done(epoch, count) {
+            let up = TreeMsg::SwitchDoneAgg { epoch, count };
+            let root = MasterMsg::SwitchDoneAgg { epoch, count };
+            self.forward_agg(now, node, up, root, bus);
         }
     }
 
-    /// A node's own process exited (tree control plane): contribute one ack
-    /// to the local job reduction, ascending like switch acks.
+    /// Fold `count` process exits of `job` into this node's reduction,
+    /// ascending like switch acks.
     pub(crate) fn tree_report_job_finished(
         &mut self,
         now: SimTime,
         node: usize,
         job: JobId,
+        count: usize,
         bus: &mut Bus,
     ) {
-        if let Some(total) = self.tree_agg[node].add_job_finished(job, 1) {
-            self.forward_job_agg(now, node, job, total, bus);
+        if let Some(count) = self.tree_agg[node].add_job_finished(job, count) {
+            let up = TreeMsg::JobFinishedAgg { job, count };
+            let root = MasterMsg::JobFinishedAgg { job, count };
+            self.forward_agg(now, node, up, root, bus);
         }
     }
 
@@ -522,13 +503,13 @@ impl World {
                 // been the lost frame) or our SwitchSlot has not been acted
                 // on yet (nothing to re-send).
                 if n.seq.last_finished() == Some(epoch) {
-                    self.rebroadcast_ready(now, node, bus);
+                    self.rebroadcast(now, node, Broadcast::Ready, bus);
                 }
             }
             SwitchPhase::Halting => {
                 debug_assert_eq!(n.seq.epoch, epoch);
                 if n.halt_broadcast_started {
-                    self.rebroadcast_halt(now, node, bus);
+                    self.rebroadcast(now, node, Broadcast::Halt, bus);
                 } else {
                     // The original halt broadcast never ran (the engine was
                     // busy when the halt bit was set and went idle without
@@ -539,14 +520,14 @@ impl World {
             }
             SwitchPhase::Copying => {
                 debug_assert_eq!(n.seq.epoch, epoch);
-                self.rebroadcast_halt(now, node, bus);
+                self.rebroadcast(now, node, Broadcast::Halt, bus);
             }
             SwitchPhase::Releasing => {
                 debug_assert_eq!(n.seq.epoch, epoch);
                 // A peer may have missed our halt *or* our ready; re-send
                 // both (the ready re-broadcast chains off the halt
                 // completion, see `on_halt_broadcast_done`).
-                self.rebroadcast_halt(now, node, bus);
+                self.rebroadcast(now, node, Broadcast::Halt, bus);
             }
         }
     }

@@ -14,6 +14,7 @@
 //! while their endpoint faults in (the VN paper's return-to-sender is
 //! modeled as a drop-notify once parking overflows).
 
+use fastmsg::division::BufferPolicy;
 use gang_comm::switcher;
 use hostsim::process::Pid;
 use myrinet::broadcast::CONTROL_PACKET_BYTES;
@@ -22,7 +23,6 @@ use sim_core::trace::Category;
 
 use crate::bus::Bus;
 use crate::event::{AppEvent, FmEvent, Frame, NicEvent};
-use crate::handlers::{AppHandler, FmHandler, NicHandler};
 use crate::procsim::ProcPhase;
 use crate::world::World;
 
@@ -34,8 +34,10 @@ pub const PARKING_HEADROOM: usize = 16;
 /// entry, page lookups).
 pub const FAULT_OVERHEAD: Cycles = Cycles(10_000); // 50 µs
 
-impl FmHandler for World {
-    fn on_fm(&mut self, now: SimTime, ev: FmEvent, bus: &mut Bus) {
+impl World {
+    /// Dispatch one endpoint-residency event.
+    #[inline(never)]
+    pub(crate) fn on_fm(&mut self, now: SimTime, ev: FmEvent, bus: &mut Bus) {
         match ev {
             FmEvent::FaultDone { node, job } => self.on_fault_done(now, node, job, bus),
             FmEvent::RetransTimeout { node, pid } => self.on_retrans_timeout(now, node, pid, bus),
@@ -43,7 +45,21 @@ impl FmHandler for World {
         }
     }
 
-    fn begin_fault(&mut self, now: SimTime, node: usize, job: u32, bus: &mut Bus) {
+    /// Is the virtual-networks residency policy active?
+    pub(crate) fn vn_active(&self) -> bool {
+        self.cfg.fm.policy == BufferPolicy::CachedEndpoints
+    }
+
+    /// Note activity on `job`'s endpoint (for LRU eviction).
+    pub(crate) fn vn_touch(&mut self, now: SimTime, node: usize, job: u32) {
+        if self.vn_active() {
+            self.nodes[node].lru.insert(job, now);
+        }
+    }
+
+    /// Request that `job`'s endpoint become resident on `node`.
+    /// Idempotent; queues behind an in-progress fault.
+    pub(crate) fn begin_fault(&mut self, now: SimTime, node: usize, job: u32, bus: &mut Bus) {
         debug_assert!(self.vn_active());
         let n = &mut self.nodes[node];
         if n.nic.find_context(job).is_some() {
@@ -59,7 +75,9 @@ impl FmHandler for World {
         self.start_fault(now, node, job, bus);
     }
 
-    fn vn_park_arrival(
+    /// An arrival found no resident endpoint under VN caching: park it
+    /// and raise a fault, or overflow into a drop-notify.
+    pub(crate) fn vn_park_arrival(
         &mut self,
         now: SimTime,
         node: usize,
@@ -96,9 +114,7 @@ impl FmHandler for World {
         n.parked.push(pkt);
         self.begin_fault(now, node, job, bus);
     }
-}
 
-impl World {
     /// Reliability layer: make sure a RetransTimeout event is outstanding
     /// for this process (armed on every fragment injection; cheap no-op
     /// while one is pending). The delay grows exponentially with
@@ -288,17 +304,11 @@ impl World {
             let victim = self
                 .vn_lru_victim(node)
                 .expect("no endpoint to evict but no room either");
-            let n = &mut self.nodes[node];
-            let mut ctx = n.nic.free_context(victim).unwrap();
-            let vjob = ctx.job;
-            let mut saved = n.take_shell(vjob);
-            ctx.send_q.drain_into(&mut saved.send_q);
-            ctx.recv_q.drain_into(&mut saved.recv_q);
-            let bytes = saved.stored_bytes();
+            let vjob = self.nodes[node].nic.context(victim).unwrap().job;
             let vpid = self
                 .find_proc_by_job(node, vjob)
                 .expect("evicted endpoint's process is gone");
-            self.nodes[node].backing.save(vpid, saved, bytes);
+            self.nodes[node].save_context(victim, vpid);
             self.trace.emit(now, Category::Nic, Some(node), || {
                 format!("evicted endpoint of job {vjob}")
             });
@@ -316,12 +326,9 @@ impl World {
                 .alloc_context(job, proc_rank, geo.send_slots, geo.recv_slots)
                 .expect("room was just made");
             if let Some(pid) = pid {
-                if let Some(mut saved) = n.backing.restore(pid) {
+                if let Some(saved) = n.backing.restore(pid) {
                     assert_eq!(saved.job, job, "backing store mix-up at fault");
-                    let ctx = n.nic.context_mut(ctx_id).unwrap();
-                    ctx.send_q.load_from(&mut saved.send_q);
-                    ctx.recv_q.load_from(&mut saved.recv_q);
-                    n.recycle_shell(saved);
+                    n.load_context(ctx_id, saved);
                 }
             }
         }

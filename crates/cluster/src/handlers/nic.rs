@@ -10,12 +10,23 @@ use sim_core::trace::Category;
 
 use crate::bus::Bus;
 use crate::event::{AppEvent, Frame, NicEvent};
-use crate::handlers::{AppHandler, DaemonHandler, FmHandler, NicHandler, SwitchHandler};
 use crate::procsim::{BlockReason, ProcPhase};
 use crate::world::World;
 
-impl NicHandler for World {
-    fn on_nic(&mut self, now: SimTime, ev: NicEvent, bus: &mut Bus) {
+/// Which barrier of the gang switch a control broadcast belongs to.
+#[derive(Clone, Copy)]
+pub(crate) enum Broadcast {
+    /// The flush barrier: `Frame::Halt`, completing in `HaltBroadcastDone`.
+    Halt,
+    /// The release barrier: `Frame::Ready`, completing in
+    /// `ReadyBroadcastDone`.
+    Ready,
+}
+
+impl World {
+    /// Dispatch one data-plane event.
+    #[inline(never)]
+    pub(crate) fn on_nic(&mut self, now: SimTime, ev: NicEvent, bus: &mut Bus) {
         match ev {
             NicEvent::FrameArrive { node, frame } => self.on_frame_arrive(now, node, frame, bus),
             NicEvent::SendEngineDone { node } => self.on_send_engine_done(now, node, bus),
@@ -27,8 +38,9 @@ impl NicHandler for World {
 
     /// Let the send engine pick up work if it is idle: the LANai send
     /// context scanning the send queues (paper §2.2), extended with the
-    /// halt-bit check on packet boundaries (paper §3.2).
-    fn kick_send_engine(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    /// halt-bit check on packet boundaries (paper §3.2). Called whenever a
+    /// handler enqueues into a send queue or clears the halt bit.
+    pub(crate) fn kick_send_engine(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         let n = &mut self.nodes[node];
         if n.send_engine_busy {
             return;
@@ -79,36 +91,40 @@ impl NicHandler for World {
 
     /// Start the serial halt broadcast (the send engine is at a packet
     /// boundary with the halt bit set).
-    fn begin_halt_broadcast(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    pub(crate) fn begin_halt_broadcast(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         let n = &mut self.nodes[node];
         debug_assert!(n.nic.halt_bit() && n.halt_requested);
         n.halt_broadcast_started = true;
-        n.send_engine_busy = true;
-        let peers = self.cfg.nodes - 1;
-        let firmware = n.nic.costs.control_packet * peers as u64;
-        let epoch = n.seq.epoch;
-        n.nic.stats.control_sent += peers as u64;
-        let start = n.nic.reserve_engine(now, firmware);
-        let res = serial_broadcast(&mut self.net, start, node, CONTROL_PACKET_BYTES);
-        for (dst, tx) in &res {
-            if self.lose_frame() {
-                continue;
-            }
-            bus.emit(
-                tx.arrival,
-                NicEvent::FrameArrive {
-                    node: *dst,
-                    frame: Frame::Halt { epoch, src: node },
-                },
-            );
-        }
-        let done = res.last().map(|(_, tx)| tx.injection_done).unwrap_or(start);
-        self.nodes[node].nic.engine_extend_to(done);
-        bus.emit(done, NicEvent::HaltBroadcastDone { node });
+        self.control_broadcast(now, node, Broadcast::Halt, bus);
     }
 
-    /// Start the serial ready broadcast (release phase).
-    fn begin_ready_broadcast(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    /// Reliability layer: repeat the halt or ready broadcast for the
+    /// in-flight epoch (a ResendProtocol response). Every receiver treats
+    /// the copies idempotently, including our own completion event.
+    pub(crate) fn rebroadcast(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        which: Broadcast,
+        bus: &mut Bus,
+    ) {
+        debug_assert!(self.cfg.reliability.enabled);
+        debug_assert!(!self.nodes[node].send_engine_busy);
+        self.stats.rebroadcasts += 1;
+        self.control_broadcast(now, node, which, bus);
+    }
+
+    /// The serial control broadcast both barriers of the switch use
+    /// (paper Fig. 3): the LANai sends one control packet to every peer,
+    /// back to back, holding its engine until the last is injected, then
+    /// raises the matching completion event.
+    pub(crate) fn control_broadcast(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        which: Broadcast,
+        bus: &mut Bus,
+    ) {
         let n = &mut self.nodes[node];
         n.send_engine_busy = true;
         let peers = self.cfg.nodes - 1;
@@ -121,22 +137,24 @@ impl NicHandler for World {
             if self.lose_frame() {
                 continue;
             }
-            bus.emit(
-                tx.arrival,
-                NicEvent::FrameArrive {
-                    node: *dst,
-                    frame: Frame::Ready { epoch, src: node },
-                },
-            );
+            let frame = match which {
+                Broadcast::Halt => Frame::Halt { epoch, src: node },
+                Broadcast::Ready => Frame::Ready { epoch, src: node },
+            };
+            bus.emit(tx.arrival, NicEvent::FrameArrive { node: *dst, frame });
         }
         let done = res.last().map(|(_, tx)| tx.injection_done).unwrap_or(start);
         self.nodes[node].nic.engine_extend_to(done);
-        bus.emit(done, NicEvent::ReadyBroadcastDone { node });
+        let ev = match which {
+            Broadcast::Halt => NicEvent::HaltBroadcastDone { node },
+            Broadcast::Ready => NicEvent::ReadyBroadcastDone { node },
+        };
+        bus.emit(done, ev);
     }
 
     /// The receive engine landed one packet (also the re-entry point for
     /// parked packets the FM handler delivers after a fault).
-    fn land_packet(&mut self, now: SimTime, node: usize, pkt: Packet, bus: &mut Bus) {
+    pub(crate) fn land_packet(&mut self, now: SimTime, node: usize, pkt: Packet, bus: &mut Bus) {
         if pkt.kind == PacketKind::Refill {
             // Refills are consumed at the NIC layer: credits are host
             // memory, no queue slot is used (paper §2.2).
@@ -270,9 +288,7 @@ impl NicHandler for World {
             }
         }
     }
-}
 
-impl World {
     /// Fault injection: FM assumes "an insignificant error rate on a SAN"
     /// (§2.2); a lost frame silently never arrives. Applied to data
     /// packets, refills, and (so the recovery protocol is exercised too)
@@ -402,7 +418,7 @@ impl World {
             // This completion was a recovery re-broadcast from a node
             // already past the flush: repeat the ready broadcast too, in
             // case that was the frame that got lost.
-            self.rebroadcast_ready(now, node, bus);
+            self.rebroadcast(now, node, Broadcast::Ready, bus);
         }
     }
 
@@ -418,68 +434,5 @@ impl World {
             // no-op — the halt bit is still set.
             self.kick_send_engine(now, node, bus);
         }
-    }
-
-    /// Reliability layer: repeat the halt broadcast for the in-flight
-    /// epoch (a ResendProtocol response). Every receiver treats the copies
-    /// idempotently, including our own completion event.
-    pub(crate) fn rebroadcast_halt(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
-        debug_assert!(self.cfg.reliability.enabled);
-        let n = &mut self.nodes[node];
-        debug_assert!(!n.send_engine_busy);
-        n.send_engine_busy = true;
-        self.stats.rebroadcasts += 1;
-        let peers = self.cfg.nodes - 1;
-        let firmware = n.nic.costs.control_packet * peers as u64;
-        let epoch = n.seq.epoch;
-        n.nic.stats.control_sent += peers as u64;
-        let start = n.nic.reserve_engine(now, firmware);
-        let res = serial_broadcast(&mut self.net, start, node, CONTROL_PACKET_BYTES);
-        for (dst, tx) in &res {
-            if self.lose_frame() {
-                continue;
-            }
-            bus.emit(
-                tx.arrival,
-                NicEvent::FrameArrive {
-                    node: *dst,
-                    frame: Frame::Halt { epoch, src: node },
-                },
-            );
-        }
-        let done = res.last().map(|(_, tx)| tx.injection_done).unwrap_or(start);
-        self.nodes[node].nic.engine_extend_to(done);
-        bus.emit(done, NicEvent::HaltBroadcastDone { node });
-    }
-
-    /// Reliability layer: repeat the ready broadcast (see
-    /// [`World::rebroadcast_halt`]).
-    pub(crate) fn rebroadcast_ready(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
-        debug_assert!(self.cfg.reliability.enabled);
-        let n = &mut self.nodes[node];
-        debug_assert!(!n.send_engine_busy);
-        n.send_engine_busy = true;
-        self.stats.rebroadcasts += 1;
-        let peers = self.cfg.nodes - 1;
-        let firmware = n.nic.costs.control_packet * peers as u64;
-        let epoch = n.seq.epoch;
-        n.nic.stats.control_sent += peers as u64;
-        let start = n.nic.reserve_engine(now, firmware);
-        let res = serial_broadcast(&mut self.net, start, node, CONTROL_PACKET_BYTES);
-        for (dst, tx) in &res {
-            if self.lose_frame() {
-                continue;
-            }
-            bus.emit(
-                tx.arrival,
-                NicEvent::FrameArrive {
-                    node: *dst,
-                    frame: Frame::Ready { epoch, src: node },
-                },
-            );
-        }
-        let done = res.last().map(|(_, tx)| tx.injection_done).unwrap_or(start);
-        self.nodes[node].nic.engine_extend_to(done);
-        bus.emit(done, NicEvent::ReadyBroadcastDone { node });
     }
 }

@@ -1,7 +1,8 @@
 //! Gang-switch handler: the three-phase context switch (paper §3.2) and
-//! the §5 baseline strategies, each packaged as a [`SwitchProtocol`].
+//! the §5 baseline strategies.
 
 use fastmsg::division::BufferPolicy;
+use gang_comm::sequencer::StageBreakdown;
 use gang_comm::strategy::SwitchStrategy;
 use gang_comm::switcher;
 use hostsim::process::Signal;
@@ -11,140 +12,21 @@ use sim_core::trace::Category;
 
 use crate::bus::Bus;
 use crate::event::{AppEvent, DaemonEvent, SwitchEvent};
-use crate::handlers::{NicHandler, SwitchHandler};
 use crate::node::AltSwitch;
 use crate::stats::QueueSample;
 use crate::world::World;
 
-/// One strategy's switch sequence, entered once the outgoing process is
-/// stopped. [`protocol_for`] maps each [`SwitchStrategy`] variant to its
-/// protocol object, so adding a strategy means adding a unit struct here —
-/// not another arm in the dispatcher.
-pub trait SwitchProtocol {
-    /// Run the strategy's switch sequence on `node`.
-    #[allow(clippy::too_many_arguments)]
-    fn begin(
-        &self,
-        w: &mut World,
-        now: SimTime,
-        node: usize,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        bus: &mut Bus,
-    );
-}
-
-/// The paper's scheme: halt + global flush, copy, release (three phases,
-/// each a broadcast barrier).
-struct GangFlush;
-
-/// SHARE/PM-style baseline: no flush — copy immediately and let stragglers
-/// be dropped by the job-ID check on arrival.
-struct ShareDiscard;
-
-/// Per-node drain baseline: stop sending and wait until every in-flight
-/// packet is acknowledged, then copy. No broadcasts.
-struct AckDrain;
-
-/// The protocol object for a strategy.
-pub fn protocol_for(strategy: SwitchStrategy) -> &'static dyn SwitchProtocol {
-    match strategy {
-        SwitchStrategy::GangFlush => &GangFlush,
-        SwitchStrategy::ShareDiscard { .. } => &ShareDiscard,
-        SwitchStrategy::AckDrain => &AckDrain,
-    }
-}
-
-impl SwitchProtocol for GangFlush {
-    fn begin(
-        &self,
-        w: &mut World,
-        now: SimTime,
-        node: usize,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        bus: &mut Bus,
-    ) {
-        if matches!(
-            w.cfg.fm.policy,
-            BufferPolicy::StaticDivision | BufferPolicy::CachedEndpoints | BufferPolicy::Demand
-        ) {
-            // Every context is permanently resident: nothing to flush or
-            // copy — the switch is just signals.
-            w.resume_incoming(now, node, to, bus);
-            w.report_switch_done(now, node, epoch, bus);
-            return;
-        }
-        w.nodes[node].seq.start(now, epoch, from, to);
-        // COMM_halt_network: stop sending on a packet boundary and run the
-        // global flush protocol.
-        w.comm_halt_network(now, node, bus)
-            .expect("halt ordered while idle");
-    }
-}
-
-impl SwitchProtocol for ShareDiscard {
-    fn begin(
-        &self,
-        w: &mut World,
-        now: SimTime,
-        node: usize,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        bus: &mut Bus,
-    ) {
-        let n = &mut w.nodes[node];
-        n.nic.set_halt_bit(true); // stop draining the send queue
-        n.alt_switch = Some(AltSwitch {
-            epoch,
-            from,
-            to,
-            started: now,
-            halt_done: now,
-            copying: true,
-        });
-        let cost = w.copy_cost_for(node, from, to);
-        let r = w.nodes[node].cpu.reserve(now, cost);
-        bus.emit(r.end, SwitchEvent::CopyDone { node });
-    }
-}
-
-impl SwitchProtocol for AckDrain {
-    fn begin(
-        &self,
-        w: &mut World,
-        now: SimTime,
-        node: usize,
-        epoch: u64,
-        from: usize,
-        to: usize,
-        bus: &mut Bus,
-    ) {
-        let n = &mut w.nodes[node];
-        n.nic.set_halt_bit(true);
-        n.alt_switch = Some(AltSwitch {
-            epoch,
-            from,
-            to,
-            started: now,
-            halt_done: now,
-            copying: false,
-        });
-        w.alt_drain_maybe_done(now, node, bus);
-    }
-}
-
-impl SwitchHandler for World {
-    fn on_switch(&mut self, now: SimTime, ev: SwitchEvent, bus: &mut Bus) {
+impl World {
+    /// Dispatch one switch event.
+    #[inline(never)]
+    pub(crate) fn on_switch(&mut self, now: SimTime, ev: SwitchEvent, bus: &mut Bus) {
         match ev {
             SwitchEvent::CopyDone { node } => self.on_copy_done(now, node, bus),
         }
     }
 
-    fn start_switch(
+    /// The noded received SwitchSlot: run the strategy's switch sequence.
+    pub(crate) fn start_switch(
         &mut self,
         now: SimTime,
         node: usize,
@@ -164,10 +46,63 @@ impl SwitchHandler for World {
             self.nodes[node].procs.signal(pid, Signal::Stop);
         }
 
-        protocol_for(self.cfg.strategy).begin(self, now, node, epoch, from, to, bus);
+        match self.cfg.strategy {
+            // The paper's scheme: halt + global flush, copy, release (three
+            // phases, each a broadcast barrier).
+            SwitchStrategy::GangFlush => {
+                if self.cfg.fm.policy != BufferPolicy::FullBuffer {
+                    // Every context is permanently resident: nothing to
+                    // flush or copy — the switch is just signals.
+                    self.resume_incoming(now, node, to, bus);
+                    self.report_switch_done(now, node, epoch, bus);
+                    return;
+                }
+                self.nodes[node].seq.start(now, epoch, from, to);
+                // COMM_halt_network: stop sending on a packet boundary and
+                // run the global flush protocol.
+                self.comm_halt_network(now, node, bus)
+                    .expect("halt ordered while idle");
+            }
+            // SHARE/PM-style baseline: no flush — copy immediately and let
+            // stragglers be dropped by the job-ID check on arrival.
+            SwitchStrategy::ShareDiscard { .. } => {
+                self.start_alt_switch(now, node, epoch, from, to, true);
+                self.schedule_copy(now, node, from, to, bus);
+            }
+            // Per-node drain baseline: stop sending and wait until every
+            // in-flight packet is acknowledged, then copy. No broadcasts.
+            SwitchStrategy::AckDrain => {
+                self.start_alt_switch(now, node, epoch, from, to, false);
+                self.alt_drain_maybe_done(now, node, bus);
+            }
+        }
     }
 
-    fn alt_drain_maybe_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    /// Stop the send queues and record a baseline switch in flight.
+    fn start_alt_switch(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        epoch: u64,
+        from: usize,
+        to: usize,
+        copying: bool,
+    ) {
+        let n = &mut self.nodes[node];
+        n.nic.set_halt_bit(true); // stop draining the send queue
+        n.alt_switch = Some(AltSwitch {
+            epoch,
+            from,
+            to,
+            started: now,
+            halt_done: now,
+            copying,
+        });
+    }
+
+    /// AckDrain: if the send engine is quiet and nothing is outstanding,
+    /// the drain phase is over. Called by the NIC handler per ack.
+    pub(crate) fn alt_drain_maybe_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         let n = &mut self.nodes[node];
         let Some(ref mut alt) = n.alt_switch else {
             return;
@@ -178,13 +113,21 @@ impl SwitchHandler for World {
         alt.copying = true;
         alt.halt_done = now;
         let (from, to) = (alt.from, alt.to);
-        let cost = self.copy_cost_for(node, from, to);
-        let r = self.nodes[node].cpu.reserve(now, cost);
-        bus.emit(r.end, SwitchEvent::CopyDone { node });
+        self.schedule_copy(now, node, from, to, bus);
     }
 
-    fn copy_cost_for(&mut self, node: usize, from: usize, to: usize) -> Cycles {
-        let out = self.occupancy_of_slot(node, from, true);
+    /// Run the buffer copy on the host CPU at its occupancy-dependent cost
+    /// and raise `CopyDone` when it ends; also records the Fig. 8 queue
+    /// sample for the outgoing context. Used by `COMM_context_switch`.
+    pub(crate) fn schedule_copy(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        from: usize,
+        to: usize,
+        bus: &mut Bus,
+    ) {
+        let out = self.occupancy_of_slot(node, from);
         let inc = self.incoming_occupancy(node, to);
         let epoch = self.current_epoch(node);
         if let Some((s, r)) = out {
@@ -222,10 +165,13 @@ impl SwitchHandler for World {
             let f = 1.0 + self.cfg.copy_jitter_pct * (2.0 * self.rng.unit() - 1.0);
             cost = Cycles((cost.raw() as f64 * f) as u64);
         }
-        cost
+        let r = self.nodes[node].cpu.reserve(now, cost);
+        bus.emit(r.end, SwitchEvent::CopyDone { node });
     }
 
-    fn finish_flush(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    /// The flush completed on this node: begin the buffer switch. Called
+    /// by the NIC handler when the last halt message is counted.
+    pub(crate) fn finish_flush(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         self.nodes[node].seq.flush_complete(now);
         self.trace
             .emit(now, Category::Switch, Some(node), || "flushed".to_string());
@@ -234,25 +180,38 @@ impl SwitchHandler for World {
             .expect("copy ordered before flush completed");
     }
 
-    fn finish_release(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
+    /// Release protocol complete: restart communication and resume the
+    /// incoming process. Called by the NIC handler when the last ready
+    /// message is counted.
+    pub(crate) fn finish_release(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         let breakdown = self.nodes[node].seq.finish(now);
         let epoch = self.nodes[node].seq.epoch;
         let to = self.nodes[node].seq.to_slot;
+        self.end_switch(now, node, epoch, to, breakdown, bus);
+    }
+
+    /// Common tail of every buffer-switching strategy: record the stages,
+    /// restart sending, resume the incoming process and report done.
+    fn end_switch(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        epoch: u64,
+        to: usize,
+        breakdown: StageBreakdown,
+        bus: &mut Bus,
+    ) {
         self.stats.record_switch(node, epoch, breakdown);
-        {
-            let n = &mut self.nodes[node];
-            n.nic.set_halt_bit(false);
-            n.halt_requested = false;
-            n.halt_broadcast_started = false;
-            n.noded.switches_done += 1;
-        }
+        let n = &mut self.nodes[node];
+        n.nic.set_halt_bit(false);
+        n.halt_requested = false;
+        n.halt_broadcast_started = false;
+        n.noded.switches_done += 1;
         self.kick_send_engine(now, node, bus);
         self.resume_incoming(now, node, to, bus);
         self.report_switch_done(now, node, epoch, bus);
     }
-}
 
-impl World {
     fn current_epoch(&self, node: usize) -> u64 {
         self.nodes[node]
             .alt_switch
@@ -262,21 +221,12 @@ impl World {
 
     /// (send, recv) occupancy of the resident context of the job in `slot`
     /// on `node`, if any.
-    fn occupancy_of_slot(
-        &self,
-        node: usize,
-        slot: usize,
-        resident: bool,
-    ) -> Option<(usize, usize)> {
-        let pid = self.nodes[node].app_in_slot(slot)?;
-        let proc = self.nodes[node].apps.get(&pid)?;
-        if resident {
-            let ctx_id = self.nodes[node].nic.find_context(proc.fm.job)?;
-            let ctx = self.nodes[node].nic.context(ctx_id)?;
-            Some((ctx.send_q.len(), ctx.recv_q.len()))
-        } else {
-            None
-        }
+    fn occupancy_of_slot(&self, node: usize, slot: usize) -> Option<(usize, usize)> {
+        let n = &self.nodes[node];
+        let pid = n.app_in_slot(slot)?;
+        let ctx_id = n.nic.find_context(n.apps.get(&pid)?.fm.job)?;
+        let ctx = n.nic.context(ctx_id)?;
+        Some((ctx.send_q.len(), ctx.recv_q.len()))
     }
 
     /// Saved occupancy of the incoming job's state in the backing store.
@@ -311,20 +261,14 @@ impl World {
         // Save the outgoing context.
         if let Some(pid_out) = self.nodes[node].app_in_slot(from) {
             let n = &mut self.nodes[node];
-            let job = n.apps[&pid_out].fm.job;
-            if let Some(ctx_id) = n.nic.find_context(job) {
-                let mut ctx = n.nic.free_context(ctx_id).unwrap();
-                let mut saved = n.take_shell(job);
-                ctx.send_q.drain_into(&mut saved.send_q);
-                ctx.recv_q.drain_into(&mut saved.recv_q);
-                let bytes = saved.stored_bytes();
-                n.backing.save(pid_out, saved, bytes);
+            if let Some(ctx_id) = n.nic.find_context(n.apps[&pid_out].fm.job) {
+                n.save_context(ctx_id, pid_out);
             }
         }
         // Restore the incoming context.
         if let Some(pid_in) = self.nodes[node].app_in_slot(to) {
             let n = &mut self.nodes[node];
-            if let Some(mut saved) = n.backing.restore(pid_in) {
+            if let Some(saved) = n.backing.restore(pid_in) {
                 let geo = self.cfg.fm.geometry();
                 let proc = &n.apps[&pid_in];
                 assert_eq!(saved.job, proc.fm.job, "backing store mix-up");
@@ -332,10 +276,7 @@ impl World {
                     .nic
                     .alloc_context(saved.job, proc.rank, geo.send_slots, geo.recv_slots)
                     .expect("NIC context slot must be free after eviction");
-                let ctx = n.nic.context_mut(ctx_id).unwrap();
-                ctx.send_q.load_from(&mut saved.send_q);
-                ctx.recv_q.load_from(&mut saved.recv_q);
-                n.recycle_shell(saved);
+                n.load_context(ctx_id, saved);
             }
         }
         self.trace.emit(now, Category::Switch, Some(node), || {
@@ -346,20 +287,12 @@ impl World {
     /// Finish a ShareDiscard/AckDrain switch (no release protocol).
     fn finish_alt_switch(&mut self, now: SimTime, node: usize, to: usize, bus: &mut Bus) {
         let alt = self.nodes[node].alt_switch.take().unwrap();
-        let breakdown = gang_comm::sequencer::StageBreakdown {
+        let breakdown = StageBreakdown {
             halt: alt.halt_done.since(alt.started),
             buffer_switch: now.since(alt.halt_done),
             release: Cycles::ZERO,
         };
-        self.stats.record_switch(node, alt.epoch, breakdown);
-        {
-            let n = &mut self.nodes[node];
-            n.nic.set_halt_bit(false);
-            n.noded.switches_done += 1;
-        }
-        self.kick_send_engine(now, node, bus);
-        self.resume_incoming(now, node, to, bus);
-        self.report_switch_done(now, node, alt.epoch, bus);
+        self.end_switch(now, node, alt.epoch, to, breakdown, bus);
     }
 
     fn resume_incoming(&mut self, now: SimTime, node: usize, to: usize, bus: &mut Bus) {
@@ -376,7 +309,7 @@ impl World {
         if self.tree.is_some() {
             // Combining tree: the ack joins the local reduction instead of
             // unicasting to the master; counts ascend the tree.
-            self.tree_report_switch_done(now, node, epoch, bus);
+            self.tree_report_switch_done(now, node, epoch, 1, bus);
             return;
         }
         let t = self.ctrl.unicast_to_master(now);

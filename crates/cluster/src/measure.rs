@@ -380,46 +380,28 @@ impl Measurement<SwitchOverhead> {
         // the stage costs are quantum-independent (verified in tests/).
         cfg.quantum = Cycles::from_ms(50);
         self.apply_common(&mut cfg);
-        run_switch_overhead(cfg, nodes, switches)
-    }
-}
-
-/// Figs. 7/8/9 with only the seed set — see
-/// [`Measurement::switch_overhead`].
-pub fn switch_overhead_run(
-    nodes: usize,
-    copy: CopyStrategy,
-    strategy: SwitchStrategy,
-    switches: u64,
-    seed: u64,
-) -> SwitchOverheadRun {
-    Measurement::switch_overhead(nodes, copy, strategy, switches)
-        .seed(seed)
-        .run()
-}
-
-fn run_switch_overhead(cfg: ClusterConfig, nodes: usize, switches: u64) -> SwitchOverheadRun {
-    let mut sim = Sim::new(cfg);
-    let all: Vec<usize> = (0..nodes).collect();
-    let a = AllToAll::stress(nodes);
-    sim.submit(&a, Some(all.clone())).expect("placement");
-    sim.submit(&a, Some(all)).expect("placement");
-    let horizon = SimTime::ZERO + Cycles::from_secs(600);
-    sim.engine
-        .run_until_pred(horizon, |w| w.stats.switches >= switches);
-    let w = sim.world();
-    let mut send = Summary::new();
-    let mut recv = Summary::new();
-    for q in &w.stats.queue_samples {
-        send.record(q.send_valid as f64);
-        recv.record(q.recv_valid as f64);
-    }
-    SwitchOverheadRun {
-        ledger: w.stats.ledger.clone(),
-        queue_samples: w.stats.queue_samples.clone(),
-        mean_send_valid: send.mean(),
-        mean_recv_valid: recv.mean(),
-        drops: w.stats.drops,
+        let mut sim = Sim::new(cfg);
+        let all: Vec<usize> = (0..nodes).collect();
+        let a = AllToAll::stress(nodes);
+        sim.submit(&a, Some(all.clone())).expect("placement");
+        sim.submit(&a, Some(all)).expect("placement");
+        let horizon = SimTime::ZERO + Cycles::from_secs(600);
+        sim.engine
+            .run_until_pred(horizon, |w| w.stats.switches >= switches);
+        let w = sim.world();
+        let mut send = Summary::new();
+        let mut recv = Summary::new();
+        for q in &w.stats.queue_samples {
+            send.record(q.send_valid as f64);
+            recv.record(q.recv_valid as f64);
+        }
+        SwitchOverheadRun {
+            ledger: w.stats.ledger.clone(),
+            queue_samples: w.stats.queue_samples.clone(),
+            mean_send_valid: send.mean(),
+            mean_recv_valid: recv.mean(),
+            drops: w.stats.drops,
+        }
     }
 }
 
@@ -462,40 +444,36 @@ pub fn bsp_completion(
     seed: u64,
     mode: SchedulingMode,
 ) -> Cycles {
-    let run = |_unused: bool| -> Cycles {
-        let mut cfg = ClusterConfig::parpar(nodes, 2, BufferPolicy::StaticDivision);
-        cfg.gang_scheduling = mode == SchedulingMode::Gang;
-        cfg.dynamic_coscheduling = mode == SchedulingMode::DynamicCosched;
-        cfg.quantum = quantum;
-        cfg.seed = seed;
-        let mut sim = Sim::new(cfg);
-        let bsp = workloads::bsp::Bsp {
-            nprocs: nodes,
-            compute,
-            msg_bytes: 1024,
-            supersteps,
-        };
-        let all: Vec<usize> = (0..nodes).collect();
-        let job = sim.submit(&bsp, Some(all.clone())).expect("placement");
-        // The competitor: CPU-bound, never communicates, occupies the
-        // other slot on every node.
-        let spin = workloads::program::Uniform::new(nodes, "spin", |_| {
-            Box::new(workloads::program::SpinProgram::default())
-                as Box<dyn workloads::program::Program>
-        });
-        sim.submit(&spin, Some(all)).expect("placement");
-        let horizon = SimTime::ZERO + Cycles::from_secs(3600);
-        sim.engine
-            .run_until_pred(horizon, |w| w.stats.job_finished.contains_key(&job));
-        let w = sim.world();
-        let done = *w
-            .stats
-            .job_finished
-            .get(&job)
-            .expect("BSP job did not finish inside an hour of simulated time");
-        done.since(w.stats.job_all_up[&job])
+    let mut cfg = ClusterConfig::parpar(nodes, 2, BufferPolicy::StaticDivision);
+    cfg.gang_scheduling = mode == SchedulingMode::Gang;
+    cfg.dynamic_coscheduling = mode == SchedulingMode::DynamicCosched;
+    cfg.quantum = quantum;
+    cfg.seed = seed;
+    let mut sim = Sim::new(cfg);
+    let bsp = workloads::bsp::Bsp {
+        nprocs: nodes,
+        compute,
+        msg_bytes: 1024,
+        supersteps,
     };
-    run(true)
+    let all: Vec<usize> = (0..nodes).collect();
+    let job = sim.submit(&bsp, Some(all.clone())).expect("placement");
+    // The competitor: CPU-bound, never communicates, occupies the
+    // other slot on every node.
+    let spin = workloads::program::Uniform::new(nodes, "spin", |_| {
+        Box::new(workloads::program::SpinProgram::default()) as Box<dyn workloads::program::Program>
+    });
+    sim.submit(&spin, Some(all)).expect("placement");
+    let horizon = SimTime::ZERO + Cycles::from_secs(3600);
+    sim.engine
+        .run_until_pred(horizon, |w| w.stats.job_finished.contains_key(&job));
+    let w = sim.world();
+    let done = *w
+        .stats
+        .job_finished
+        .get(&job)
+        .expect("BSP job did not finish inside an hour of simulated time");
+    done.since(w.stats.job_all_up[&job])
 }
 
 /// Run a BSP job next to a CPU-bound competitor under both scheduling
@@ -780,7 +758,9 @@ mod tests {
 
     #[test]
     fn fig7_run_produces_stage_samples() {
-        let r = switch_overhead_run(4, CopyStrategy::Full, SwitchStrategy::GangFlush, 3, 7);
+        let r = Measurement::switch_overhead(4, CopyStrategy::Full, SwitchStrategy::GangFlush, 3)
+            .seed(7)
+            .run();
         assert!(r.ledger.samples() >= 3 * 4_u64, "{}", r.ledger.samples());
         let (_h, b, _r) = r.ledger.mean_stages();
         // Full copy: ~16 M cycles.

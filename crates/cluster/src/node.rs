@@ -205,22 +205,30 @@ impl NodeSim {
         }
     }
 
-    /// A `SavedCommState` shell for `job` with empty queues, reusing a
-    /// pooled allocation when one is available.
-    pub fn take_shell(&mut self, job: u32) -> SavedCommState<Packet> {
-        match self.state_pool.pop() {
+    /// Free NIC context `ctx_id` and save its queue contents to the
+    /// backing store under `pid`, in a pooled shell when one is available.
+    pub fn save_context(&mut self, ctx_id: usize, pid: Pid) {
+        let mut ctx = self.nic.free_context(ctx_id).unwrap();
+        let mut saved = match self.state_pool.pop() {
             Some(mut s) => {
-                s.job = job;
+                s.job = ctx.job;
                 s
             }
-            None => SavedCommState::empty(job),
-        }
+            None => SavedCommState::empty(ctx.job),
+        };
+        ctx.send_q.drain_into(&mut saved.send_q);
+        ctx.recv_q.drain_into(&mut saved.recv_q);
+        let bytes = saved.stored_bytes();
+        self.backing.save(pid, saved, bytes);
     }
 
-    /// Return an emptied shell's allocations to the pool.
-    pub fn recycle_shell(&mut self, s: SavedCommState<Packet>) {
-        debug_assert!(s.send_q.is_empty() && s.recv_q.is_empty());
-        self.state_pool.push(s);
+    /// Load saved queue contents into the freshly allocated NIC context
+    /// `ctx_id` and return the emptied shell to the pool.
+    pub fn load_context(&mut self, ctx_id: usize, mut saved: SavedCommState<Packet>) {
+        let ctx = self.nic.context_mut(ctx_id).unwrap();
+        ctx.send_q.load_from(&mut saved.send_q);
+        ctx.recv_q.load_from(&mut saved.recv_q);
+        self.state_pool.push(saved);
     }
 
     /// The app process (if any) occupying `slot` on this node.

@@ -12,7 +12,6 @@
 //! 2. **Halt-after-data** — a control packet broadcast after the last data
 //!    packet on a route arrives after it (special case of 1; paper §3.2).
 
-use sim_core::stats::Summary;
 use sim_core::time::{Cycles, SimTime};
 
 use crate::topology::{HostId, Topology};
@@ -131,16 +130,6 @@ impl Network {
     /// Total packets transmitted since construction.
     pub fn total_packets(&self) -> u64 {
         self.total_packets
-    }
-
-    /// Mean/max utilization of all links over `[0, now]`, for reports.
-    pub fn utilization_summary(&self, now: SimTime) -> Summary {
-        let mut s = Summary::new();
-        let span = now.raw().max(1) as f64;
-        for st in &self.stats {
-            s.record(st.busy_cycles as f64 / span);
-        }
-        s
     }
 
     /// Reset link availability and statistics (topology is preserved).

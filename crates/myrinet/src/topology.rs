@@ -485,14 +485,6 @@ impl Topology {
         &self.links
     }
 
-    /// The fat-tree shape, if this topology is one.
-    pub fn fat_tree_shape(&self) -> Option<&FatTreeShape> {
-        match &self.router {
-            Router::FatTree(s) => Some(s),
-            Router::Csr { .. } => None,
-        }
-    }
-
     /// Which fabric tier a link belongs to (for per-tier statistics).
     pub fn link_tier(&self, lid: LinkId) -> LinkTier {
         match &self.router {

@@ -1,7 +1,7 @@
 //! The simulation is deterministic: identical configuration and seed give
 //! bit-identical runs; the figures are exactly reproducible.
 
-use cluster::measure::{switch_overhead_run, Measurement};
+use cluster::measure::Measurement;
 use cluster::{ClusterConfig, Sim};
 use fastmsg::division::BufferPolicy;
 use gang_comm::strategy::SwitchStrategy;
@@ -104,8 +104,12 @@ fn fig_cells_are_reproducible() {
         .run();
     assert_eq!(a.total_mbps.to_bits(), b.total_mbps.to_bits());
 
-    let a = switch_overhead_run(4, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 3, 5);
-    let b = switch_overhead_run(4, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 3, 5);
+    let a = Measurement::switch_overhead(4, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 3)
+        .seed(5)
+        .run();
+    let b = Measurement::switch_overhead(4, CopyStrategy::ValidOnly, SwitchStrategy::GangFlush, 3)
+        .seed(5)
+        .run();
     assert_eq!(
         a.ledger.mean_total().to_bits(),
         b.ledger.mean_total().to_bits()
@@ -148,8 +152,12 @@ fn logical_fingerprint_goldens_per_policy_and_batch() {
 
 #[test]
 fn different_seeds_vary_jitter_but_preserve_shape() {
-    let x = switch_overhead_run(8, CopyStrategy::Full, SwitchStrategy::GangFlush, 3, 1);
-    let y = switch_overhead_run(8, CopyStrategy::Full, SwitchStrategy::GangFlush, 3, 2);
+    let x = Measurement::switch_overhead(8, CopyStrategy::Full, SwitchStrategy::GangFlush, 3)
+        .seed(1)
+        .run();
+    let y = Measurement::switch_overhead(8, CopyStrategy::Full, SwitchStrategy::GangFlush, 3)
+        .seed(2)
+        .run();
     // Halt depends on daemon jitter → differs across seeds.
     let (hx, bx, _) = x.ledger.mean_stages();
     let (hy, by, _) = y.ledger.mean_stages();

@@ -28,6 +28,23 @@ fn serve_completes_and_records_latencies() {
     assert!((0.0..=1.0).contains(&c.slo_attainment));
 }
 
+/// Under buffer switching a job can land in the incoming slot while that
+/// node's switch is still copying, with the outgoing job's context on the
+/// one-context NIC; the new job must start in the backing store and be
+/// restored by the switch, not fail its NIC context allocation at load.
+#[test]
+fn full_buffer_serving_loads_jobs_mid_switch() {
+    let c = Measurement::serve(8, 2, SchedulingMode::Gang)
+        .buffer_policy(BufferPolicy::FullBuffer)
+        .arrival_rate(6.0)
+        .size_range(200, 800)
+        .horizon(Cycles::from_secs(8))
+        .seed(1)
+        .run();
+    assert!(c.drained, "{c:?}");
+    assert_eq!(c.completed, c.admitted, "{c:?}");
+}
+
 #[test]
 fn serve_modes_differ_and_saturation_raises_latency() {
     let cell = |mode, rate| {
