@@ -46,13 +46,14 @@ impl World {
     }
 
     /// `COMM_remove_node` — take a node out of service. Refused while the
-    /// node still hosts communication contexts or processes.
+    /// node still hosts communication contexts or live processes; the
+    /// retired records of torn-down jobs do not count.
     pub fn comm_remove_node(&mut self, _now: SimTime, node: usize) -> Result<(), CommError> {
         let n = self.nodes.get_mut(node).ok_or(CommError::UnknownNode)?;
         if !n.in_service {
             return Err(CommError::BadPhase);
         }
-        if n.nic.resident_contexts().next().is_some() || !n.apps.is_empty() {
+        if n.nic.resident_contexts().next().is_some() || n.apps.live_len() > 0 {
             return Err(CommError::NoResources);
         }
         n.in_service = false;

@@ -10,7 +10,7 @@ use sim_core::trace::Category;
 
 use crate::bus::Bus;
 use crate::event::{AppEvent, DaemonEvent, HostOp};
-use crate::procsim::{BlockReason, ProcPhase, SendProgress};
+use crate::procsim::{BlockReason, ProcPhase, ProcSim, SendProgress};
 use crate::world::World;
 
 /// Outcome of one scheduling decision for a process.
@@ -73,6 +73,7 @@ impl World {
         self.comm_end_job(now, node, job.0, pid)
             .expect("end_job: context vanished");
         let n = &mut self.nodes[node];
+        n.apps.retire(&pid);
         n.procs.signal(pid, Signal::Kill);
         n.noded.remove_job(job);
         if self.tree.is_some() {
@@ -93,32 +94,27 @@ impl World {
     /// Retry deferred refills once send-queue space frees up. Called by
     /// the NIC and FM handlers.
     pub(crate) fn drain_pending_refills(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
-        // Hot-path gate: deferred refills are rare (send queue was full at
-        // refill time); skip the allocation below when there are none.
         // Under the reliability layer finished processes still owe final
-        // acks, so their deferred refills drain too.
+        // acks, so their deferred refills drain too. Torn-down processes
+        // are not visited: their context is gone, so a retry would only
+        // defer the refill again.
         let keep_finished = self.cfg.reliability.enabled;
-        if !self.nodes[node].apps.values().any(|p| {
+        let due = |p: &ProcSim| {
             !p.pending_refills.is_empty() && (keep_finished || p.phase != ProcPhase::Finished)
-        }) {
+        };
+        // Hot-path gate: deferred refills are rare (the send queue was full
+        // at refill time).
+        if !self.nodes[node].apps.live().any(due) {
             return;
         }
-        let pids: Vec<Pid> = self.nodes[node]
-            .apps
-            .iter()
-            .filter(|(_, p)| {
-                !p.pending_refills.is_empty() && (keep_finished || p.phase != ProcPhase::Finished)
-            })
-            .map(|(pid, _)| *pid)
-            .collect();
-        for pid in pids {
-            let pending: Vec<(usize, usize)> = {
-                let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
-                std::mem::take(&mut proc.pending_refills)
-                    .into_iter()
-                    .collect()
-            };
-            for (peer, k) in pending {
+        let mut after = None;
+        while let Some((pid, p)) = self.nodes[node].apps.next_live(after) {
+            after = Some(pid);
+            if !due(p) {
+                continue;
+            }
+            let proc = self.nodes[node].apps.get_mut(&pid).unwrap();
+            for (peer, k) in std::mem::take(&mut proc.pending_refills) {
                 self.queue_refill(now, node, pid, peer, k, bus);
             }
         }
@@ -126,11 +122,7 @@ impl World {
 
     /// Find the pid of the process of `job` on `node`, if any.
     pub(crate) fn find_proc_by_job(&self, node: usize, job: u32) -> Option<Pid> {
-        self.nodes[node]
-            .apps
-            .iter()
-            .find(|(_, p)| p.fm.job == job)
-            .map(|(pid, _)| *pid)
+        self.nodes[node].apps.pid_of_job(job)
     }
 
     fn proc_step(&mut self, now: SimTime, node: usize, pid: Pid, bus: &mut Bus) -> Step {

@@ -34,7 +34,10 @@ impl World {
 
     /// Dynamic coscheduling: deschedule whoever runs and schedule the
     /// process an incoming message is destined to (related work [12]).
-    /// Called by the NIC handler on message arrival.
+    /// Called by the NIC handler on message arrival. Kept out of line: it
+    /// runs only under dynamic coscheduling, off the per-packet path.
+    #[cold]
+    #[inline(never)]
     pub(crate) fn dynamic_cosched_preempt(
         &mut self,
         now: SimTime,

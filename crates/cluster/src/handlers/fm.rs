@@ -76,7 +76,10 @@ impl World {
     }
 
     /// An arrival found no resident endpoint under VN caching: park it
-    /// and raise a fault, or overflow into a drop-notify.
+    /// and raise a fault, or overflow into a drop-notify. Kept out of
+    /// line: it runs only under VN caching, off the per-packet path.
+    #[cold]
+    #[inline(never)]
     pub(crate) fn vn_park_arrival(
         &mut self,
         now: SimTime,

@@ -3,7 +3,6 @@
 
 use fastmsg::packet::{Packet, PacketKind};
 use gang_comm::strategy::SwitchStrategy;
-use hostsim::process::Pid;
 use myrinet::broadcast::{serial_broadcast, CONTROL_PACKET_BYTES};
 use sim_core::time::SimTime;
 use sim_core::trace::Category;
@@ -307,21 +306,24 @@ impl World {
     fn on_send_engine_done(&mut self, now: SimTime, node: usize, bus: &mut Bus) {
         self.nodes[node].send_engine_busy = false;
         // Queue space freed: unblock senders, flush deferred refills, and
-        // complete any deferred job teardown. The collect is gated behind a
-        // cheap scan — on the streaming fast path nothing here applies and
-        // this handler must stay allocation-free.
+        // complete any deferred job teardown. Only live processes can be
+        // waiting. On the streaming fast path nothing here applies, so a
+        // cheap scan gates the walk; the walk steps through the live
+        // entries by pid, since `try_end_job` retires the one it tears
+        // down, and this handler must stay allocation-free.
         let any_waiting = self.nodes[node]
             .apps
-            .values()
+            .live()
             .any(|p| p.blocked == Some(BlockReason::SendSpace) || p.phase == ProcPhase::Finished);
         if any_waiting {
-            let pids: Vec<Pid> = self.nodes[node].apps.keys().copied().collect();
-            for pid in pids {
-                let proc = &self.nodes[node].apps[&pid];
-                if proc.blocked == Some(BlockReason::SendSpace) {
+            let mut after = None;
+            while let Some((pid, p)) = self.nodes[node].apps.next_live(after) {
+                after = Some(pid);
+                let finished = p.phase == ProcPhase::Finished;
+                if p.blocked == Some(BlockReason::SendSpace) {
                     bus.emit_now(AppEvent::ProcKick { node, pid });
                 }
-                if proc.phase == ProcPhase::Finished {
+                if finished {
                     self.try_end_job(now, node, pid, bus);
                 }
             }

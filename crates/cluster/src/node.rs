@@ -13,92 +13,214 @@ use parpar::noded::Noded;
 
 use crate::procsim::ProcSim;
 
-/// Pid → [`ProcSim`] map, flat.
+/// Pid → [`ProcSim`] map of one node, split into live and retired
+/// processes.
 ///
 /// A node hosts one process per gang slot — one or two in every
 /// configuration the paper studies — and the hot handlers (`proc_kick`,
-/// `HostOpDone`, packet landing) do several lookups per event. A sorted
-/// `Vec` keeps those lookups inside one cache line instead of chasing
-/// `BTreeMap` node pointers; iteration order (ascending pid) and the whole
-/// method surface match the map it replaces, so determinism is unaffected.
-#[derive(Default)]
+/// `HostOpDone`, packet landing, send-engine completion) do several
+/// lookups and scans per event. Those processes are the **live** entries:
+/// a flat `Vec` sorted by pid that never holds more than `slots` of them,
+/// so a lookup stays inside a cache line or two.
+///
+/// `COMM_end_job` tears a finished process down, and the process then
+/// moves to the pid-sorted **retired** list (`AppMap::retire`). Its
+/// state is kept, because a late refill, drop-notify or retransmit timer
+/// of the torn-down job can still find it, and the run's observables
+/// (`msgs_received`, `phase`) are read after quiescence. Only the cold,
+/// out-of-line fallbacks of [`AppMap::get`], [`AppMap::get_mut`] and
+/// `AppMap::pid_of_job` search the retired list, so the per-event cost
+/// is bounded by what is resident, not by how many jobs a serving run
+/// has finished.
+///
+/// Invariant: each process is in exactly one list, the live list holds
+/// at most `slots` processes (checked by `debug_assert!` in
+/// [`AppMap::insert`]), and a process is retired only once its job's
+/// context or backing-store entry has been released. The all-process view
+/// (`keys`, `iter`, `values`, `values_mut`, `len`) merges both lists in
+/// ascending pid order, so what it yields does not depend on which
+/// processes have retired.
 pub struct AppMap {
-    entries: Vec<(Pid, ProcSim)>,
+    /// Processes not yet torn down, ascending pid; at most `slots`.
+    live: Vec<(Pid, ProcSim)>,
+    /// Torn-down processes, ascending pid.
+    retired: Vec<(Pid, ProcSim)>,
+    /// Gang-matrix depth: the bound on `live.len()`.
+    slots: usize,
 }
 
 impl AppMap {
-    /// An empty map.
-    pub fn new() -> Self {
+    /// An empty map for a node with `slots` gang slots.
+    pub fn new(slots: usize) -> Self {
         AppMap {
-            entries: Vec::new(),
+            live: Vec::new(),
+            retired: Vec::new(),
+            slots,
         }
     }
 
-    /// The process with id `pid`, if resident.
+    /// The process with id `pid`, live or retired.
     #[inline]
     pub fn get(&self, pid: &Pid) -> Option<&ProcSim> {
-        self.entries
-            .iter()
-            .find_map(|(k, v)| (k == pid).then_some(v))
+        match self.live.iter().find(|(k, _)| k == pid) {
+            Some((_, v)) => Some(v),
+            None => self.get_retired(pid),
+        }
     }
 
-    /// Mutable access to the process with id `pid`, if resident.
+    /// Mutable access to the process with id `pid`, live or retired.
     #[inline]
     pub fn get_mut(&mut self, pid: &Pid) -> Option<&mut ProcSim> {
-        self.entries
-            .iter_mut()
-            .find_map(|(k, v)| (k == pid).then_some(v))
+        match self.live.iter().position(|(k, _)| k == pid) {
+            Some(i) => Some(&mut self.live[i].1),
+            None => self.get_retired_mut(pid),
+        }
     }
 
-    /// Insert `proc` under `pid`, returning the displaced process if the
-    /// pid was already resident.
+    #[cold]
+    #[inline(never)]
+    fn get_retired(&self, pid: &Pid) -> Option<&ProcSim> {
+        let i = self.retired.binary_search_by_key(pid, |(k, _)| *k).ok()?;
+        Some(&self.retired[i].1)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn get_retired_mut(&mut self, pid: &Pid) -> Option<&mut ProcSim> {
+        let i = self.retired.binary_search_by_key(pid, |(k, _)| *k).ok()?;
+        Some(&mut self.retired[i].1)
+    }
+
+    /// The pid of `job`'s process on this node, live or retired.
+    #[inline]
+    pub(crate) fn pid_of_job(&self, job: u32) -> Option<Pid> {
+        match self.live.iter().find(|(_, p)| p.fm.job == job) {
+            Some((pid, _)) => Some(*pid),
+            None => self.retired_pid_of_job(job),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn retired_pid_of_job(&self, job: u32) -> Option<Pid> {
+        self.retired
+            .iter()
+            .find(|(_, p)| p.fm.job == job)
+            .map(|(pid, _)| *pid)
+    }
+
+    /// The first live process with a pid above `after` (the first of all
+    /// with `None`). Scans that may retire the process they visit step
+    /// through the live entries with this instead of an iterator.
+    #[inline]
+    pub(crate) fn next_live(&self, after: Option<Pid>) -> Option<(Pid, &ProcSim)> {
+        self.live
+            .iter()
+            .find(|(k, _)| after.is_none_or(|a| *k > a))
+            .map(|(k, v)| (*k, v))
+    }
+
+    /// The live processes, ascending pid.
+    #[inline]
+    pub(crate) fn live(&self) -> impl Iterator<Item = &ProcSim> {
+        self.live.iter().map(|(_, v)| v)
+    }
+
+    /// Insert a new live process `proc` under `pid`, returning the
+    /// displaced process if the pid was already live.
     pub fn insert(&mut self, pid: Pid, proc: ProcSim) -> Option<ProcSim> {
-        match self.entries.binary_search_by_key(&pid.0, |(k, _)| k.0) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, proc)),
+        match self.live.binary_search_by_key(&pid, |(k, _)| *k) {
+            Ok(i) => Some(std::mem::replace(&mut self.live[i].1, proc)),
             Err(i) => {
-                self.entries.insert(i, (pid, proc));
+                self.live.insert(i, (pid, proc));
+                debug_assert!(
+                    self.live.len() <= self.slots,
+                    "{} live processes on a node with {} gang slots",
+                    self.live.len(),
+                    self.slots
+                );
                 None
             }
         }
     }
 
-    /// Remove and return the process with id `pid`, if resident.
-    pub fn remove(&mut self, pid: &Pid) -> Option<ProcSim> {
-        match self.entries.binary_search_by_key(&pid.0, |(k, _)| k.0) {
-            Ok(i) => Some(self.entries.remove(i).1),
-            Err(_) => None,
+    /// Move the live process `pid` to the retired list (its job has been
+    /// torn down). A no-op if `pid` is not live.
+    pub(crate) fn retire(&mut self, pid: &Pid) {
+        if let Ok(i) = self.live.binary_search_by_key(pid, |(k, _)| *k) {
+            let entry = self.live.remove(i);
+            let j = self
+                .retired
+                .binary_search_by_key(pid, |(k, _)| *k)
+                .expect_err("a pid is retired at most once");
+            self.retired.insert(j, entry);
         }
     }
 
-    /// Resident pids, ascending.
+    /// Remove and return the process with id `pid`, live or retired.
+    pub fn remove(&mut self, pid: &Pid) -> Option<ProcSim> {
+        for list in [&mut self.live, &mut self.retired] {
+            if let Ok(i) = list.binary_search_by_key(pid, |(k, _)| *k) {
+                return Some(list.remove(i).1);
+            }
+        }
+        None
+    }
+
+    /// All pids, live and retired, ascending.
     pub fn keys(&self) -> impl Iterator<Item = &Pid> {
-        self.entries.iter().map(|(k, _)| k)
+        self.iter().map(|(k, _)| k)
     }
 
-    /// `(pid, process)` pairs in ascending pid order.
+    /// All `(pid, process)` pairs, live and retired, in ascending pid
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (&Pid, &ProcSim)> {
-        self.entries.iter().map(|(k, v)| (k, v))
+        merge_by_pid(self.live.iter(), self.retired.iter(), |e| e.0).map(|(k, v)| (k, v))
     }
 
-    /// Resident processes in ascending pid order.
+    /// All processes, live and retired, in ascending pid order.
     pub fn values(&self) -> impl Iterator<Item = &ProcSim> {
-        self.entries.iter().map(|(_, v)| v)
+        self.iter().map(|(_, v)| v)
     }
 
-    /// Mutable iteration in ascending pid order.
+    /// Mutable iteration over all processes in ascending pid order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut ProcSim> {
-        self.entries.iter_mut().map(|(_, v)| v)
+        merge_by_pid(self.live.iter_mut(), self.retired.iter_mut(), |e| e.0).map(|(_, v)| v)
     }
 
-    /// Number of resident processes.
+    /// Number of processes, live and retired.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live.len() + self.retired.len()
     }
 
-    /// Is no process resident?
+    /// Is there no process at all, live or retired?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
+
+    /// Number of live processes (at most the node's gang slots).
+    pub fn live_len(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Number of retired (torn-down) processes.
+    pub fn retired_len(&self) -> usize {
+        self.retired.len()
+    }
+}
+
+/// Merge two pid-sorted sequences into one ascending sequence.
+fn merge_by_pid<T>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T>,
+    pid: impl Fn(&T) -> Pid,
+) -> impl Iterator<Item = T> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if pid(y) < pid(x) => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
 }
 
 impl std::ops::Index<&Pid> for AppMap {
@@ -178,8 +300,8 @@ pub struct AltSwitch {
 }
 
 impl NodeSim {
-    /// A fresh node.
-    pub fn new(id: usize, peers: usize, nic: Nic<Packet>) -> Self {
+    /// A fresh node with `slots` gang slots.
+    pub fn new(id: usize, peers: usize, slots: usize, nic: Nic<Packet>) -> Self {
         NodeSim {
             id,
             cpu: HostCpu::new(),
@@ -188,7 +310,7 @@ impl NodeSim {
             nic,
             seq: SwitchSequencer::new(peers),
             backing: BackingStore::new(),
-            apps: AppMap::new(),
+            apps: AppMap::new(slots),
             send_engine_busy: false,
             halt_requested: false,
             halt_broadcast_started: false,

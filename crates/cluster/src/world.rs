@@ -119,7 +119,7 @@ impl World {
                     cfg.fm.send_region_bytes,
                     PACKET_BYTES,
                 );
-                NodeSim::new(id, cfg.nodes - 1, nic)
+                NodeSim::new(id, cfg.nodes - 1, cfg.slots, nic)
             })
             .collect();
         let trace = if cfg.trace_capacity > 0 {

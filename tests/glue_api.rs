@@ -158,6 +158,26 @@ fn end_job_through_the_trait() {
     });
 }
 
+/// A torn-down job leaves only a retired process record behind, and that
+/// record must not keep its node in service: `COMM_remove_node` checks the
+/// live processes.
+#[test]
+fn node_that_ran_a_finished_job_can_be_removed() {
+    let mut s = sim(2);
+    let bench = P2pBandwidth::with_count(1024, 5);
+    s.submit(&bench, Some(vec![0, 1])).unwrap();
+    assert!(s.run_until_jobs_done(SimTime::ZERO + Cycles::from_secs(5)));
+    let n = &s.world().nodes[1];
+    assert_eq!(n.nic.resident_contexts().count(), 0);
+    assert_eq!((n.apps.live_len(), n.apps.retired_len()), (0, 1));
+    s.engine.drive(|w, sched| {
+        let mut glue = GlueFm::new(w, sched, 1);
+        glue.remove_node(SimTime::ZERO + Cycles::from_secs(5), 1)
+            .unwrap();
+    });
+    assert!(!s.world().nodes[1].in_service);
+}
+
 #[test]
 fn api_calls_are_usable_as_trait_objects() {
     // The paper's interoperability argument: the interface is abstract.

@@ -5,6 +5,7 @@ use cluster::measure::{Measurement, SchedulingMode};
 use cluster::{ArrivalPlan, ArrivalSpec, ClusterConfig, Sim};
 use fastmsg::division::BufferPolicy;
 use proptest::prelude::*;
+use sim_core::rng::DetRng;
 use sim_core::time::{Cycles, SimTime};
 
 #[test]
@@ -97,6 +98,57 @@ fn serve_trace_overrides_poisson() {
     assert_eq!(c.admitted, 2);
     assert_eq!(c.completed, 2);
     assert!(c.drained);
+}
+
+/// The repository benchmark's `serve` workload (8 nodes, 2 slots,
+/// reliability on, eager reclaim; the first 48 arrivals of a 6 jobs/s
+/// Poisson stream, 200–800 messages each): every torn-down process leaves
+/// its node's live table, so the per-event scans stay bounded by the gang
+/// slots however long the stream runs, while the run's observables still
+/// see every process.
+#[test]
+fn torn_down_processes_leave_the_live_table() {
+    const JOBS: usize = 48;
+    const SIZES: (u64, u64) = (200, 800);
+    let seed = 42;
+    let mut cfg = ClusterConfig::parpar(8, 2, BufferPolicy::StaticDivision);
+    cfg.gang_scheduling = true;
+    cfg.quantum = Cycles::from_ms(100);
+    cfg.eager_reclaim = true;
+    cfg.reliability.enabled = true;
+    cfg.seed = seed;
+    let mut sim = Sim::new(cfg);
+    let (lo, hi) = SIZES;
+    let mut entries = ArrivalPlan::poisson(seed, 6.0, Cycles::from_secs(60), 2, lo, hi)
+        .jobs()
+        .to_vec();
+    entries.truncate(JOBS);
+    let last = JOBS as u64 - 1;
+    let mut sizes: Vec<u64> = (0..=last).map(|k| lo + (hi - lo) * k / last).collect();
+    DetRng::new(seed).shuffle(&mut sizes);
+    for (e, size) in entries.iter_mut().zip(sizes) {
+        e.size = size;
+    }
+    sim.install_arrivals(&ArrivalPlan::trace(entries), |i, spec| {
+        let job_seed = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        workloads::registry::build("p2p", spec.nprocs, job_seed, spec.size).unwrap()
+    });
+    assert!(sim.run_until_quiescent(SimTime::ZERO + Cycles::from_secs(150)));
+    let w = sim.world();
+    let completed = w.stats.job_finished.len();
+    assert_eq!(completed, JOBS);
+    for n in &w.nodes {
+        assert_eq!(
+            n.apps.live_len(),
+            0,
+            "node {} still has live processes",
+            n.id
+        );
+    }
+    let retired: usize = w.nodes.iter().map(|n| n.apps.retired_len()).sum();
+    assert_eq!(retired, 2 * completed);
+    // The benchmark's pinned serving fingerprint at seed 42.
+    assert_eq!(sim.logical_fingerprint(), 0xf738_225d_75ef_f585);
 }
 
 /// Open-loop admission invariants under randomized rates, seeds, and
